@@ -28,19 +28,15 @@ from .analysis import (
     response_bound_fixed,
     result_csv_header,
     result_csv_row,
-    same_task_interference,
     baseline_susp_obl,
 )
 from .generator import BatchEntry, GenSpec, dump_batch, load_batch, synthesize, uunifast
 from .model import (
-    utilization,
     PriorityPolicy,
     Task,
     TaskSet,
     TasksetFormatError,
-    deadline_monotonic_points,
     format_taskset_text,
-    job_priority_point,
     load_taskset,
     parse_taskset_text,
     derive_priority_points,
@@ -84,7 +80,6 @@ __all__ = [
     "TestConfig",
     "ceil_div",
     "cross_interference",
-    "deadline_monotonic_points",
     "dump_batch",
     "export_trace",
     "test_variable",
@@ -94,7 +89,6 @@ __all__ = [
     "generate_job_sequence",
     "interference_window_cap",
     "check_feasibility",
-    "job_priority_point",
     "load_batch",
     "load_taskset",
     "measure_state_times",
@@ -106,13 +100,11 @@ __all__ = [
     "result_csv_header",
     "result_csv_row",
     "round_half_up",
-    "same_task_interference",
     "save_taskset",
     "simulate_el",
     "simulate_tfp",
     "baseline_susp_obl",
     "synthesize",
-    "utilization",
     "uunifast",
     "validate_sequence",
     "__version__",

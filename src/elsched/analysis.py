@@ -7,6 +7,13 @@ bound per task while all other bounds are held at their current values
 (updates take effect immediately within a pass).  A verdict of True is a
 guarantee; False means no decision.  All arithmetic is exact integer
 arithmetic on ticks.
+
+One window search serves every test.  The extended window (test_variable)
+may start up to max_a periods before the analyzed release; the fixed
+window (test_fixed, and through it test_tfp and the suspension-oblivious
+baseline) is its single stage that starts at the release, with the count
+of the analyzed task's own jobs left uncapped.  TESTS names the three
+tests a policy is combined with, and run_test runs one of them by name.
 """
 
 from __future__ import annotations
@@ -39,42 +46,6 @@ def interference_window_cap(
     if i == k:
         raise ValueError("window cap is defined for two distinct tasks")
     return min(ts[k].deadline - ts[i].wcet, rel_points[k] - rel_points[i])
-
-
-def same_task_interference(k: int, window: int, ts: TaskSet) -> int:
-    """Bound on processor time consumed by earlier jobs of task k itself
-    inside an analysis window of the given length (>= 0).
-    """
-    if window < 0:
-        raise ValueError(f"window must be non-negative, got {window}")
-    t = ts[k]
-    return max(ceil_div(window, t.period) - 1, 0) * (t.wcet + t.suspension)
-
-
-def cross_interference_release(
-    k: int, i: int, rbound_i: int, offset: int, ts: TaskSet,
-    rel_points: Sequence[int],
-) -> int:
-    """Bound on demand from task i whose jobs win against a job of task k
-    by release order of priority points.  `offset` is the window start
-    relative to the release of the analyzed job (window_start - release).
-    """
-    if i == k:
-        raise ValueError("cross-task interference needs two distinct tasks")
-    num = rel_points[k] - rel_points[i] + rbound_i + offset
-    return max(ceil_div(num, ts[i].period), 0) * ts[i].wcet
-
-
-def cross_interference_deadline(
-    k: int, i: int, rbound_i: int, offset: int, ts: TaskSet
-) -> int:
-    """Bound on demand from task i that can fit before the analyzed job's
-    deadline; window position as in cross_interference_release.
-    """
-    if i == k:
-        raise ValueError("cross-task interference needs two distinct tasks")
-    num = ts[k].deadline - ts[i].wcet + offset + rbound_i
-    return max(ceil_div(num, ts[i].period) * ts[i].wcet, 0)
 
 
 def cross_interference(
@@ -188,14 +159,20 @@ def _caps(C: Sequence[int], D: Sequence[int], pp: Sequence[int]) -> list[list[in
     ]
 
 
-def _fixed_core(
+def _window_core(
     C: Sequence[int], S: Sequence[int], D: Sequence[int], T: Sequence[int],
-    pp: Sequence[int], cfg: TestConfig,
+    pp: Sequence[int], cfg: TestConfig, reach_back: bool,
 ) -> AnalysisResult:
+    # Stage a scans the signed window start b = x - a * T_k (relative to
+    # the analyzed release) from -a * T_k up to D_k.  The fixed window is
+    # the single stage a = 0 with an uncapped own-job count; the extended
+    # window caps that count at a + 1 and reaches back one stage at a time
+    # until a stage bound fits within the period.
     n = len(C)
     order = _deadline_descending(D)
     steps = _grid_steps(D, cfg.eta)
     caps = _caps(C, D, pp)
+    stages = cfg.max_a + 1 if reach_back else 1
     rb = list(D)
     offs: list[object] = [None] * n
     solved = False
@@ -214,124 +191,58 @@ def _fixed_core(
                 ((row[i] + rb[i], T[i], C[i]) for i in range(n) if i != k and C[i] > 0),
                 key=lambda t: -t[2],
             )
-            best: int | None = None
-            best_b = 0
-            b = 0
-            while b < Dk:
-                # every candidate is at least b + wcet + suspension
-                if best is not None and b + csk >= best:
-                    break
-                total = -(-(Dk - b) // Tk) * csk + b
-                if best is None or total < best:
-                    pruned = False
-                    for ar, ti, ci in terms:
-                        num = ar - b
-                        if num > 0:
-                            total += -(-num // ti) * ci
-                            if best is not None and total >= best:
-                                pruned = True
-                                break
-                    if not pruned and (best is None or total < best):
-                        best = total
-                        best_b = b
-                b += step
-            if best is None or best > Dk:
-                solved = False
-                if rb[k] != Dk:
-                    rb[k] = Dk
-                    changed = True
-                offs[k] = None
-                break
-            if best != rb[k]:
-                rb[k] = best
-                changed = True
-            offs[k] = best_b
-        if not changed:
-            break
-    return AnalysisResult(solved, tuple(rb), tuple(offs), iters)
-
-
-def _extended_core(
-    C: Sequence[int], S: Sequence[int], D: Sequence[int], T: Sequence[int],
-    pp: Sequence[int], cfg: TestConfig,
-) -> AnalysisResult:
-    n = len(C)
-    order = _deadline_descending(D)
-    steps = _grid_steps(D, cfg.eta)
-    caps = _caps(C, D, pp)
-    rb = list(D)
-    offs: list[object] = [None] * n
-    solved = False
-    iters = 0
-    for _ in range(cfg.depth):
-        iters += 1
-        solved = True
-        changed = False
-        for k in order:
-            Dk = D[k]
-            Tk = T[k]
-            csk = C[k] + S[k]
-            step = steps[k]
-            row = caps[k]
-            terms = sorted(
-                ((row[i] + rb[i], T[i], C[i]) for i in range(n) if i != k and C[i] > 0),
-                key=lambda t: -t[2],
-            )
-            stage_vals: list[int] = []
-            stage_xs: list[int] = []
+            stage_best: list[int] = []
+            stage_b: list[int] = []
             reach = None
-            failed = False
-            for a in range(cfg.max_a + 1):
-                span = a * Tk
-                limit = span + Dk
-                best: int | None = None
-                best_x = 0
-                x = 0
-                while x < limit:
-                    # every candidate is at least x - span + wcet + suspension
-                    if best is not None and x - span + csk >= best:
+            for a in range(stages):
+                # with b >= 0 the own count never exceeds ceil(D_k / T_k)
+                own_cap = a + 1 if reach_back else -(-Dk // Tk)
+                # only a bound within the deadline can be kept: a position
+                # certifying it must exist at every stage up to the accepted one
+                best = Dk + 1
+                best_b = 0
+                b = -a * Tk
+                while b < Dk:
+                    # every candidate is at least b + wcet + suspension
+                    if b + csk >= best:
                         break
-                    own = -(-(Dk - x + span) // Tk)
-                    if own > a + 1:
-                        own = a + 1
-                    total = own * csk + x - span
-                    if best is None or total < best:
-                        pruned = False
+                    own = -(-(Dk - b) // Tk)
+                    if own > own_cap:
+                        own = own_cap
+                    total = own * csk + b
+                    if total < best:
                         for ar, ti, ci in terms:
-                            num = ar - x + span
+                            num = ar - b
                             if num > 0:
                                 total += -(-num // ti) * ci
-                                if best is not None and total >= best:
-                                    pruned = True
+                                if total >= best:
                                     break
-                        if not pruned and (best is None or total < best):
+                        else:
                             best = total
-                            best_x = x
-                    x += step
-                if best is None or best > Dk:
-                    # a window position certifying the deadline must exist at
-                    # every reach-back depth up to the accepted one
-                    failed = True
+                            best_b = b
+                    b += step
+                if best > Dk:
                     break
-                stage_vals.append(best)
-                stage_xs.append(best_x)
-                if best <= Tk:
+                stage_best.append(best)
+                stage_b.append(best_b)
+                if not reach_back or best <= Tk:
                     reach = a
                     break
-                if a == cfg.max_a:
-                    failed = True
-            if failed or reach is None:
+            if reach is None:
                 solved = False
                 if rb[k] != Dk:
                     rb[k] = Dk
                     changed = True
                 offs[k] = None
                 break
-            new_rb = max(stage_vals)
+            new_rb = max(stage_best)
             if new_rb != rb[k]:
                 rb[k] = new_rb
                 changed = True
-            offs[k] = (reach, tuple(stage_xs))
+            if reach_back:
+                offs[k] = (reach, tuple(b + a * Tk for a, b in enumerate(stage_b)))
+            else:
+                offs[k] = best_b
         if not changed:
             break
     return AnalysisResult(solved, tuple(rb), tuple(offs), iters)
@@ -366,7 +277,7 @@ def test_fixed(
     cfg = config or DEFAULT_CONFIG
     pts = _check_points(ts, rel_points)
     C, S, D, T = _arrays(ts)
-    return _fixed_core(C, S, D, T, pts, cfg)
+    return _window_core(C, S, D, T, pts, cfg, reach_back=False)
 
 
 def test_variable(
@@ -380,7 +291,7 @@ def test_variable(
     cfg = config or DEFAULT_CONFIG
     pts = _check_points(ts, rel_points)
     C, S, D, T = _arrays(ts)
-    return _extended_core(C, S, D, T, pts, cfg)
+    return _window_core(C, S, D, T, pts, cfg, reach_back=True)
 
 
 def test_tfp(
@@ -405,7 +316,29 @@ def baseline_susp_obl(
     pts = _check_points(ts, rel_points)
     C, S, D, T = _arrays(ts)
     inflated = [c + s for c, s in zip(C, S)]
-    return _fixed_core(inflated, [0] * len(ts), D, T, pts, cfg)
+    return _window_core(inflated, [0] * len(ts), D, T, pts, cfg, reach_back=False)
+
+
+# --- test registry -----------------------------------------------------------
+
+
+TESTS = ("fixed", "variable", "baseline")
+
+
+def run_test(
+    name: str, ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None
+) -> AnalysisResult:
+    """Run the test `name` from TESTS: the fixed- or variable-window test,
+    or the suspension-oblivious baseline."""
+    # the tests are looked up by module-level name at each call, so a
+    # wrapper installed over one of them sees the calls made through here
+    if name == "fixed":
+        return test_fixed(ts, rel_points, config)
+    if name == "variable":
+        return test_variable(ts, rel_points, config)
+    if name == "baseline":
+        return baseline_susp_obl(ts, rel_points, config)
+    raise ValueError(f"unknown test kind {name!r}")
 
 
 # --- result serialization ----------------------------------------------------

@@ -19,21 +19,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import experiments
-from .analysis import (
-    TestConfig,
-    test_variable,
-    test_fixed,
-    result_csv_header,
-    result_csv_row,
-    baseline_susp_obl,
-)
+from .analysis import TESTS, TestConfig, result_csv_header, result_csv_row, run_test
 from .experiments import LambdaSweepConfig, PolicyChoice, SweepConfig
 from .generator import BatchEntry, GenSpec, dump_batch, synthesize_counting
 from .model import (
     PriorityPolicy,
-    TaskSet,
     TasksetFormatError,
-    deadline_monotonic_points,
     format_taskset_text,
     load_taskset,
     derive_priority_points,
@@ -59,33 +50,28 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _resolve_points(ts: TaskSet, args: argparse.Namespace) -> list[int]:
-    name = args.policy
+def _policy(
+    name: str, weight: Fraction | None, points: tuple[int, ...] | None = None
+) -> PriorityPolicy:
+    """The policy a name stands for, in --policy and in the "policy"
+    field of sweep configs alike."""
     if name in ("eqdf", "saedf"):
-        weight = args.weight
         if weight is None:
-            raise TasksetFormatError(f"policy {name} requires --lambda")
-        policy = PriorityPolicy.eqdf(weight) if name == "eqdf" else PriorityPolicy.saedf(weight)
-        return list(derive_priority_points(ts, policy))
-    if name == "explicit":
+            raise ValueError(f"policy {name} requires a weight (--lambda)")
+        return PriorityPolicy(name, weight=weight)
+    return PriorityPolicy(name, points=points)
+
+
+def _policy_from_args(args: argparse.Namespace) -> PriorityPolicy:
+    points = None
+    if args.policy == "explicit":
         if not args.pp:
             raise TasksetFormatError("policy explicit requires --pp")
         try:
-            pts = [int(p) for p in args.pp.split(",")]
+            points = tuple(int(p) for p in args.pp.split(","))
         except ValueError as exc:
             raise TasksetFormatError(f"bad --pp list: {args.pp!r}") from exc
-        if len(pts) != len(ts):
-            raise TasksetFormatError(
-                f"--pp lists {len(pts)} points for {len(ts)} tasks"
-            )
-        return pts
-    if name == "dm":
-        return list(deadline_monotonic_points(ts))
-    if name == "edf":
-        return list(derive_priority_points(ts, PriorityPolicy.edf()))
-    if name == "fifo":
-        return list(derive_priority_points(ts, PriorityPolicy.fifo()))
-    raise TasksetFormatError(f"unknown policy {name!r}")
+    return _policy(args.policy, args.weight, points)
 
 
 def _test_config(args: argparse.Namespace) -> TestConfig:
@@ -134,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="run a schedulability test")
     a.add_argument("taskset", help="task-set file")
     _add_policy_flags(a)
-    a.add_argument("--test", choices=("fixed", "variable", "baseline"),
+    a.add_argument("--test", choices=TESTS,
                    default="fixed",
                    help="fixed/variable window test or the suspension-oblivious "
                         "baseline (default: fixed)")
@@ -218,18 +204,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     ts = load_taskset(args.taskset)
-    pts = _resolve_points(ts, args)
-    cfg = _test_config(args)
-    if args.test == "variable":
-        result = test_variable(ts, pts, cfg)
-    elif args.test == "baseline":
-        result = baseline_susp_obl(ts, pts, cfg)
-    else:
-        result = test_fixed(ts, pts, cfg)
+    policy = _policy_from_args(args)
+    pts = derive_priority_points(ts, policy)
+    result = run_test(args.test, ts, pts, _test_config(args))
     taskset_id = args.id or Path(args.taskset).stem
-    label = args.policy if args.policy != "explicit" else f"explicit[{args.pp}]"
-    if args.weight is not None and args.policy in ("eqdf", "saedf"):
-        label = f"{args.policy}[{args.weight}]"
+    label = f"explicit[{args.pp}]" if policy.kind == "explicit" else policy.label()
     if args.csv:
         print(",".join(result_csv_header(len(ts))))
         print(",".join(result_csv_row(taskset_id, label, result)))
@@ -247,7 +226,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if len(ts) == 0:
         print("error: empty task set", file=sys.stderr)
         return 2
-    pts = _resolve_points(ts, args)
+    pts = derive_priority_points(ts, _policy_from_args(args))
     horizon = args.horizon
     if horizon is None:
         horizon = 20 * max(t.period for t in ts)
@@ -277,29 +256,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _policy_from_json(obj: dict) -> PolicyChoice:
     name = obj.get("policy", "edf")
     weight = _fraction(obj["lambda"]) if "lambda" in obj else Fraction(0)
-    if name == "edf":
-        pol = PriorityPolicy.edf()
-    elif name == "fifo":
-        pol = PriorityPolicy.fifo()
-    elif name == "eqdf":
-        pol = PriorityPolicy.eqdf(weight)
-    elif name == "saedf":
-        pol = PriorityPolicy.saedf(weight)
-    elif name in ("tfp", "dm"):
-        # synthesized sets are deadline-sorted, so list order is the
-        # deadline-monotonic order
-        pol = PriorityPolicy.tfp()
-    else:
-        raise ValueError(f"unknown policy {name!r} in sweep config")
-    label = obj.get("label", name)
-    return PolicyChoice(label, pol, obj.get("test", "fixed"))
+    return PolicyChoice(obj.get("label", name), _policy(name, weight), obj.get("test", "fixed"))
 
 
 def _utilizations_from_json(obj: dict) -> tuple[Fraction, ...]:
     if "utilizations" in obj:
         return tuple(_fraction(u) for u in obj["utilizations"])
     grid = obj.get("utilization_pct", {"lo": 5, "hi": 100, "step": 5})
-    return experiments.utilization_grid(grid["lo"], grid["hi"], grid["step"])
+    try:
+        return experiments.utilization_grid(grid["lo"], grid["hi"], grid["step"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"utilization_pct needs integer lo, hi and step, got {grid!r}"
+        ) from exc
 
 
 def _test_config_from_json(obj: dict) -> TestConfig:
@@ -424,9 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     except (TasksetFormatError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-run = main
 
 
 if __name__ == "__main__":

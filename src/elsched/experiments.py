@@ -24,12 +24,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .analysis import (
+    TESTS,
     AnalysisResult,
     TestConfig,
     test_variable,
     test_tfp,
     test_fixed,
     baseline_susp_obl,
+    run_test,
 )
 from .generator import GenSpec, synthesize
 from .model import PriorityPolicy, TaskSet, derive_priority_points
@@ -44,13 +46,16 @@ from .simulator import (
 
 def worker_count() -> int:
     """Workers for cell-parallel campaigns: EL_SCHED_THREADS if set,
-    otherwise the machine's CPU count."""
+    otherwise the CPUs this process may run on (the machine's CPU count
+    where the platform cannot tell)."""
     env = os.environ.get("EL_SCHED_THREADS")
     if env is not None:
         try:
             return max(1, int(env))
         except ValueError as exc:
             raise ValueError(f"EL_SCHED_THREADS must be an integer, got {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -78,9 +83,6 @@ def utilization_grid(lo_pct: int, hi_pct: int, step_pct: int) -> tuple[Fraction,
     return tuple(Fraction(p, 100) for p in range(lo_pct, hi_pct + 1, step_pct))
 
 
-_TEST_KINDS = ("fixed", "variable", "baseline")
-
-
 @dataclass(frozen=True)
 class PolicyChoice:
     """A labeled (policy, test) combination evaluated by sweeps."""
@@ -90,16 +92,11 @@ class PolicyChoice:
     test: str = "fixed"
 
     def __post_init__(self) -> None:
-        if self.test not in _TEST_KINDS:
+        if self.test not in TESTS:
             raise ValueError(f"unknown test kind {self.test!r}")
 
     def run(self, ts: TaskSet, config: TestConfig) -> AnalysisResult:
-        pts = derive_priority_points(ts, self.policy)
-        if self.test == "fixed":
-            return test_fixed(ts, pts, config)
-        if self.test == "variable":
-            return test_variable(ts, pts, config)
-        return baseline_susp_obl(ts, pts, config)
+        return run_test(self.test, ts, derive_priority_points(ts, self.policy), config)
 
 
 def _default_policies() -> tuple[PolicyChoice, ...]:
@@ -197,22 +194,21 @@ class LambdaSweepConfig:
     def __post_init__(self) -> None:
         if self.family not in ("eqdf", "saedf"):
             raise ValueError(f"unknown weighted family {self.family!r}")
-        if self.test not in ("fixed", "variable"):
-            raise ValueError(f"unknown test kind {self.test!r}")
+        # weights are swept under a window test, never the baseline
+        if self.test not in TESTS or self.test == "baseline":
+            raise ValueError(f"unknown window test kind {self.test!r}")
 
 
 def _lambda_cell(args: tuple[LambdaSweepConfig, Fraction, Fraction]) -> list[dict]:
     cfg, u, x = args
-    run = test_fixed if cfg.test == "fixed" else test_variable
-    make = PriorityPolicy.eqdf if cfg.family == "eqdf" else PriorityPolicy.saedf
     counts = {w: 0 for w in cfg.weights}
     best = 0
     for idx in range(cfg.sets_per_point):
         ts = _set_for_cell(cfg, u, x, idx)
         hit = False
         for w in cfg.weights:
-            pts = derive_priority_points(ts, make(w))
-            if run(ts, pts, cfg.test_config).verdict:
+            pts = derive_priority_points(ts, PriorityPolicy(cfg.family, Fraction(w)))
+            if run_test(cfg.test, ts, pts, cfg.test_config).verdict:
                 counts[w] += 1
                 hit = True
         if hit:

@@ -96,7 +96,7 @@ class TaskSet:
 # Relative priority-point policies.  Each policy maps a task set to one
 # relative priority point per task; see derive_priority_points().
 
-_POLICY_KINDS = ("edf", "fifo", "eqdf", "saedf", "tfp", "explicit")
+_POLICY_KINDS = ("edf", "fifo", "eqdf", "saedf", "tfp", "dm", "explicit")
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,9 @@ class PriorityPolicy:
     kind: one of 'edf' (deadline), 'fifo' (release order), 'eqdf'
     (deadline plus weight * wcet), 'saedf' (deadline plus weight *
     suspension), 'tfp' (fixed task priorities in list order, emulated by
-    cumulative-deadline points), 'explicit' (caller-supplied points).
+    cumulative-deadline points), 'dm' (deadline-monotonic fixed
+    priorities, emulated the same way along deadline order), 'explicit'
+    (caller-supplied points).
     """
 
     kind: str
@@ -140,6 +142,10 @@ class PriorityPolicy:
         return cls("tfp")
 
     @classmethod
+    def dm(cls) -> PriorityPolicy:
+        return cls("dm")
+
+    @classmethod
     def explicit(cls, points: Sequence[int]) -> PriorityPolicy:
         return cls("explicit", points=tuple(int(p) for p in points))
 
@@ -156,7 +162,9 @@ def derive_priority_points(ts: TaskSet, policy: PriorityPolicy) -> tuple[int, ..
     policy assigns cumulative deadlines (point of task i is the sum of
     the deadlines of tasks 0..i), which emulates fixed task priorities in
     list order once every response time is certified to stay within the
-    deadline.
+    deadline.  The 'dm' policy does the same along the deadline-sorted
+    order (ties keep list order), so on a deadline-sorted set it equals
+    'tfp'.
     """
     if len(ts) == 0:
         raise ValueError("cannot derive priority points for an empty task set")
@@ -170,12 +178,16 @@ def derive_priority_points(ts: TaskSet, policy: PriorityPolicy) -> tuple[int, ..
     if policy.kind == "saedf":
         w = policy.weight
         return tuple(round_half_up(t.deadline + w * t.suspension) for t in ts)
-    if policy.kind == "tfp":
-        pts = []
+    if policy.kind in ("tfp", "dm"):
+        tasks = ts.tasks
+        order = range(len(tasks))
+        if policy.kind == "dm":
+            order = sorted(order, key=lambda i: tasks[i].deadline)
+        pts = [0] * len(tasks)
         acc = 0
-        for t in ts:
-            acc += t.deadline
-            pts.append(acc)
+        for i in order:
+            acc += tasks[i].deadline
+            pts[i] = acc
         return tuple(pts)
     assert policy.points is not None
     if len(policy.points) != len(ts):
@@ -183,29 +195,6 @@ def derive_priority_points(ts: TaskSet, policy: PriorityPolicy) -> tuple[int, ..
             f"explicit points for {len(policy.points)} tasks, task set has {len(ts)}"
         )
     return policy.points
-
-
-def utilization(ts: TaskSet) -> Fraction:
-    """Total utilization (sum of wcet/period) as an exact rational."""
-    return ts.utilization
-
-
-def deadline_monotonic_points(ts: TaskSet) -> tuple[int, ...]:
-    """Relative priority points emulating deadline-monotonic fixed
-    priorities: cumulative deadlines along the deadline-sorted order,
-    mapped back to task positions (ties keep list order)."""
-    order = sorted(range(len(ts)), key=lambda i: (ts[i].deadline, i))
-    pts = [0] * len(ts)
-    acc = 0
-    for i in order:
-        acc += ts[i].deadline
-        pts[i] = acc
-    return tuple(pts)
-
-
-def job_priority_point(release: int, rel_point: int) -> int:
-    """Absolute priority point of a job released at `release`."""
-    return release + rel_point
 
 
 # --- line-oriented task-set files -------------------------------------------

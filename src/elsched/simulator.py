@@ -140,9 +140,6 @@ class JobSequence:
             tuple(sorted(self.jobs, key=lambda j: (j.task, j.index))),
         )
 
-    def for_task(self, task: int) -> list[JobBehavior]:
-        return [j for j in self.jobs if j.task == task]
-
 
 def validate_sequence(ts: TaskSet, seq: JobSequence) -> None:
     """Check a sequence against the task model; raises ValueError."""

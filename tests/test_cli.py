@@ -12,7 +12,7 @@ import random
 import pytest
 
 from elsched import experiments
-from elsched.cli import build_parser, main, run
+from elsched.cli import build_parser, main
 
 WORKED = "# el-sched taskset v1\n1 0 5 5\n2 1 16 16\n"
 REF = "# el-sched taskset v1\n2 0 5 5\n7 3 16 16\n"
@@ -30,10 +30,6 @@ def ref_file(tmp_path):
     p = tmp_path / "ref.ts"
     p.write_text(REF)
     return p
-
-
-def test_run_is_main_alias():
-    assert run is main
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -77,6 +73,19 @@ def test_analyze_weighted_policy_label(worked_file, capsys):
     assert main(["analyze", str(worked_file),
                  "--policy", "eqdf", "--lambda", "1"]) == 0
     assert "eqdf[1]" in capsys.readouterr().out
+
+
+def test_analyze_dm_orders_by_deadline_on_unsorted_file(tmp_path, capsys):
+    # list order 20, 5, 5: deadline-monotonic points are 30, 5, 10
+    p = tmp_path / "unsorted.ts"
+    p.write_text("# el-sched taskset v1\n4 1 20 20\n1 1 5 5\n2 0 5 8\n")
+    dm_code = main(["analyze", str(p), "--policy", "dm"])
+    dm_out = capsys.readouterr().out
+    assert "(dm, fixed window" in dm_out
+    explicit_code = main(["analyze", str(p), "--policy", "explicit", "--pp", "30,5,10"])
+    explicit_out = capsys.readouterr().out
+    assert dm_code == explicit_code
+    assert dm_out.splitlines()[1:] == explicit_out.splitlines()[1:]
 
 
 def test_analyze_input_errors_exit_two(tmp_path, worked_file, capsys):
@@ -234,6 +243,38 @@ def test_sweep_bad_config_exits_two(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [{"lo": 5}, {"lo": 5, "hi": 50}, [5, 50, 5]])
+def test_sweep_incomplete_utilization_grid_exits_two(tmp_path, capsys, grid):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"utilization_pct": grid, "sets_per_point": 1}))
+    assert main(["sweep", "--config", str(cfg), "-o", str(tmp_path)]) == 2
+    assert "error: utilization_pct needs" in capsys.readouterr().err
+
+
+def test_sweep_dm_policy_matches_tfp_on_synthesized_sets(tmp_path, capsys):
+    # synthesized sets are deadline-sorted, so deadline-monotonic points
+    # are the list-order (tfp) points
+    texts = []
+    for policy in ("dm", "tfp"):
+        outdir = tmp_path / policy
+        outdir.mkdir()
+        cfg = tmp_path / f"{policy}.json"
+        cfg.write_text(json.dumps({
+            "name": "fp",
+            "master_seed": 4,
+            "utilizations": ["0.2", "0.4", "0.6"],
+            "deadline_factors": ["1", "1.5"],
+            "sets_per_point": 4,
+            "n": 6,
+            "policies": [{"policy": policy, "label": "fp", "test": test}
+                         for test in ("fixed", "variable")],
+        }))
+        assert main(["sweep", "--config", str(cfg), "-o", str(outdir)]) == 0
+        texts.append((outdir / "sweep_fp_4.csv").read_bytes())
+    capsys.readouterr()
+    assert texts[0] == texts[1]
 
 
 # --- verify & bench ---------------------------------------------------------------

@@ -78,6 +78,16 @@ def test_worker_count_honors_environment(monkeypatch):
     assert worker_count() >= 1
 
 
+def test_worker_count_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("EL_SCHED_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert worker_count() == 3
+    # without an affinity call, the machine's CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 64
+
+
 def test_parallel_map_serial_and_pooled():
     items = list(range(20))
     expected = [x * x for x in items]

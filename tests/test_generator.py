@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import scipy.stats
 
-from elsched import GenSpec, Task, TaskSet, synthesize, utilization, uunifast
+from elsched import GenSpec, Task, TaskSet, synthesize, uunifast
 from elsched.generator import (
     TICKS_PER_MS,
     BatchEntry,
@@ -140,7 +140,7 @@ def test_realized_utilization_tracks_target():
     for seed in (1, 2, 3):
         for u in (Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)):
             spec = GenSpec(n=200, u_total=u, seed=seed)
-            realized = utilization(synthesize(spec))
+            realized = synthesize(spec).utilization
             assert abs(realized - u) <= u / 100
 
 

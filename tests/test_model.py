@@ -12,15 +12,12 @@ from elsched import (
     Task,
     TaskSet,
     TasksetFormatError,
-    deadline_monotonic_points,
     derive_priority_points,
     format_taskset_text,
-    job_priority_point,
     load_taskset,
     parse_taskset_text,
     round_half_up,
     save_taskset,
-    utilization,
 )
 
 WORKED_SET = TaskSet((Task(1, 0, 5, 5), Task(2, 1, 16, 16)))
@@ -107,20 +104,20 @@ def test_round_half_up(value, expected):
 
 
 def test_utilization_worked_value():
-    assert utilization(WORKED_SET) == Fraction(13, 40)  # 1/5 + 2/16
+    assert WORKED_SET.utilization == Fraction(13, 40)  # 1/5 + 2/16
     ts = TaskSet((Task(2, 0, 5, 5), Task(7, 3, 16, 16)))
-    assert utilization(ts) == Fraction(67, 80)  # 2/5 + 7/16
+    assert ts.utilization == Fraction(67, 80)  # 2/5 + 7/16
 
 
 def test_utilization_examples():
-    assert utilization(TaskSet(())) == 0
-    assert utilization(TaskSet((Task(5, 0, 5, 5),))) == 1
+    assert TaskSet(()).utilization == 0
+    assert TaskSet((Task(5, 0, 5, 5),)).utilization == 1
 
 
 def test_utilization_is_exact_rational():
     ts = TaskSet((Task(1, 0, 3, 3), Task(1, 0, 7, 7)))
-    assert utilization(ts) == Fraction(1, 3) + Fraction(1, 7)
-    assert isinstance(utilization(ts), Fraction)
+    assert ts.utilization == Fraction(1, 3) + Fraction(1, 7)
+    assert isinstance(ts.utilization, Fraction)
 
 
 # --- priority-point policies ---------------------------------------------------
@@ -201,6 +198,12 @@ def test_policy_labels():
     assert PriorityPolicy.eqdf(3).label() == "eqdf[3]"
     assert PriorityPolicy.saedf(-2).label() == "saedf[-2]"
     assert PriorityPolicy.tfp().label() == "tfp"
+    assert PriorityPolicy.dm().label() == "dm"
+
+
+def job_priority_point(release: int, rel_point: int) -> int:
+    """Absolute priority point of a job released at `release`."""
+    return release + rel_point
 
 
 def test_job_priority_point_is_release_plus_relative_point():
@@ -225,12 +228,42 @@ def test_uniform_shift_preserves_priority_order():
         assert (before > 0) == (after > 0) and (before == 0) == (after == 0)
 
 
+def deadline_monotonic_points(ts: TaskSet) -> tuple[int, ...]:
+    """Relative priority points emulating deadline-monotonic fixed
+    priorities: cumulative deadlines along the deadline-sorted order,
+    mapped back to task positions (ties keep list order)."""
+    order = sorted(range(len(ts)), key=lambda i: (ts[i].deadline, i))
+    pts = [0] * len(ts)
+    acc = 0
+    for i in order:
+        acc += ts[i].deadline
+        pts[i] = acc
+    return tuple(pts)
+
+
 def test_deadline_monotonic_points():
     # Shorter deadline first, stable on ties, cumulative along that order.
     ts = TaskSet((Task(1, 0, 20, 20), Task(1, 0, 5, 5), Task(1, 0, 5, 8)))
     # DM order: task1 (D=5), task2 (D=5, later index), task0 (D=20)
     # cumulative: 5, 10, 30 mapped back to original positions.
     assert deadline_monotonic_points(ts) == (30, 5, 10)
+    assert derive_priority_points(ts, PriorityPolicy.dm()) == (30, 5, 10)
+
+
+def test_dm_points_match_oracle_and_equal_tfp_on_sorted_sets():
+    rng = random.Random(77)
+    for _ in range(200):
+        tasks = []
+        for _ in range(rng.randint(1, 6)):
+            t = rng.randint(1, 30)
+            tasks.append(Task(0, 0, rng.randint(0, 40), t))
+        ts = TaskSet(tuple(tasks))
+        dm = derive_priority_points(ts, PriorityPolicy.dm())
+        assert dm == deadline_monotonic_points(ts)
+        by_deadline = TaskSet(tuple(sorted(tasks, key=lambda t: t.deadline)))
+        assert derive_priority_points(by_deadline, PriorityPolicy.dm()) == (
+            derive_priority_points(by_deadline, PriorityPolicy.tfp())
+        )
 
 
 # --- taskset text format -------------------------------------------------------
