@@ -390,7 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TasksetFormatError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (
+        TasksetFormatError, OSError, ValueError, json.JSONDecodeError,
+        argparse.ArgumentTypeError,  # _fraction on a config value
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

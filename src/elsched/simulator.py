@@ -16,8 +16,10 @@ executing while at least one is suspended, or neither (waiting idle).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .model import TaskSet
@@ -187,6 +189,14 @@ class Interval:
     task: int = -1
     job: int = -1
 
+    @classmethod
+    def _fast(cls, start: int, end: int, kind: str, task: int, job: int) -> Interval:
+        """An interval from fields the engine logged: fills the instance
+        dict at once instead of one frozen `__setattr__` per field."""
+        iv = object.__new__(cls)
+        iv.__dict__.update(start=start, end=end, kind=kind, task=task, job=job)
+        return iv
+
 
 @dataclass(frozen=True)
 class JobRecord:
@@ -201,6 +211,26 @@ class JobRecord:
     finish: int | None
     exec_spans: tuple[tuple[int, int], ...]
     susp_spans: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def _fast(
+        cls,
+        task: int,
+        index: int,
+        release: int,
+        start: int | None,
+        finish: int | None,
+        exec_spans: tuple[tuple[int, int], ...],
+        susp_spans: tuple[tuple[int, int], ...],
+    ) -> JobRecord:
+        """A record from the engine's outcome of one job, built like
+        `Interval._fast`."""
+        rec = object.__new__(cls)
+        rec.__dict__.update(
+            task=task, index=index, release=release, start=start, finish=finish,
+            exec_spans=exec_spans, susp_spans=susp_spans,
+        )
+        return rec
 
 
 @dataclass(frozen=True)
@@ -255,6 +285,7 @@ def _run_engine(
         exec_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
         susp_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
         intervals: list[list] = []  # [start, end, kind, task, job], merged on append
+        last: list = [0, 0, "", -1, -1]  # the last row; a sentinel merges with nothing
 
     ready: list[int] = []           # ranks of jobs in an execution step
     susp_ev: list[tuple[int, int]] = []
@@ -288,14 +319,6 @@ def _run_engine(
                     g = nxt
                     continue
             return
-
-    def log_interval(start: int, end: int, kind: str, task: int, job: int) -> None:
-        if intervals:
-            last = intervals[-1]
-            if last[1] == start and last[2] == kind and last[3] == task and last[4] == job:
-                last[1] = end
-                return
-        intervals.append([start, end, kind, task, job])
 
     rel_order = sorted(range(nj), key=job_rel.__getitem__)
     rel_times = [job_rel[g] for g in rel_order]
@@ -335,7 +358,13 @@ def _run_engine(
                     es[-1] = (es[-1][0], nxt)
                 else:
                     es.append((t, nxt))
-                log_interval(t, nxt, "run", job_task[g], jobs[g][1])
+                # rows are contiguous, and only run rows have a job
+                tid, idx = job_task[g], jobs[g][1]
+                if last[4] == idx and last[3] == tid:
+                    last[1] = nxt
+                else:
+                    last = [t, nxt, "run", tid, idx]
+                    intervals.append(last)
             rem[g] -= nxt - t
             t = nxt
             if rem[g] == 0:
@@ -344,24 +373,24 @@ def _run_engine(
                 advance(g, t)
         else:
             if record:
-                log_interval(t, nxt, "susp" if n_susp > 0 else "wait", -1, -1)
+                kind = "susp" if n_susp > 0 else "wait"
+                if last[2] == kind:
+                    last[1] = nxt
+                else:
+                    last = [t, nxt, kind, -1, -1]
+                    intervals.append(last)
             t = nxt
 
     if not record:
         return finish, None
     out_jobs = tuple(
-        JobRecord(
-            task=task,
-            index=index,
-            release=release,
-            start=first_start[g],
-            finish=finish[g],
-            exec_spans=tuple(exec_spans[g]),
-            susp_spans=tuple(susp_spans[g]),
+        JobRecord._fast(
+            task, index, release, first_start[g], finish[g],
+            tuple(exec_spans[g]), tuple(susp_spans[g]),
         )
         for g, (task, index, release, _) in enumerate(jobs)
     )
-    out_intervals = tuple(Interval(*iv) for iv in intervals)
+    out_intervals = tuple(Interval._fast(*iv) for iv in intervals)
     return finish, ScheduleTrace(horizon=horizon, intervals=out_intervals, jobs=out_jobs)
 
 
@@ -611,6 +640,10 @@ class StateTimes:
     ref_interference: dict[int, int]
 
 
+_task_of = attrgetter("task")
+_end_of = attrgetter("end")
+
+
 def measure_state_times(
     trace: ScheduleTrace,
     ts: TaskSet,
@@ -625,13 +658,26 @@ def measure_state_times(
     Dispatch order is (release + relative point, task, job index),
     matching the simulator.  A window with start >= end yields all
     zeros.  Requires 0 <= start and end <= horizon.
+
+    One forward sweep over the window.  Jobs of a task execute in release
+    order, so only the task's first unfinished job can have begun: it is
+    the current job, and the only one that runs or suspends.  Each step
+    of the sweep ends at the nearest interval end or the current job's
+    release, finish or suspension boundary, and costs O(1).  With J jobs
+    and I intervals in the trace, K jobs of `task` and W intervals inside
+    the window, a call costs O(n log J + log I + W + K): its time follows
+    the window's length, not the horizon's.  The trace is one the
+    simulator returned (jobs in (task, index) order, the indices of a
+    task consecutive from 0).
     """
     n = len(ts)
     interference = {i: 0 for i in range(n) if i != task}
     ref_interference = (
         {i: 0 for i in range(n) if i != task} if ref_index is not None else {}
     )
-    k_jobs = [j for j in trace.jobs if j.task == task]
+    jobs = trace.jobs
+    first = [bisect_left(jobs, i, key=_task_of) for i in range(n)]
+    k_jobs = jobs[first[task]:bisect_right(jobs, task, first[task], key=_task_of)]
     per_job = {j.index: 0 for j in k_jobs}
     if start >= end:
         return StateTimes(0, 0, interference, per_job, ref_interference)
@@ -639,73 +685,74 @@ def measure_state_times(
         raise ValueError("window must lie within [0, horizon]")
 
     pts = list(rel_points)
-
-    def key(j: JobRecord) -> tuple[int, int, int]:
-        return (j.release + pts[j.task], j.task, j.index)
-
+    own = pts[task]
     ref_key = None
     if ref_index is not None:
-        matches = [j for j in k_jobs if j.index == ref_index]
-        if not matches:
+        if not 0 <= ref_index < len(k_jobs):
             raise ValueError(f"task {task} has no job {ref_index} in the trace")
-        ref_key = key(matches[0])
+        ref_key = (k_jobs[ref_index].release + own, task, ref_index)
 
-    cuts = {start, end}
-    for iv in trace.intervals:
-        for bound in (iv.start, iv.end):
-            if start < bound < end:
-                cuts.add(bound)
-    for j in k_jobs:
-        for bound in (j.release, j.finish):
-            if bound is not None and start < bound < end:
-                cuts.add(bound)
-        for a, b in j.susp_spans:
-            for bound in (a, b):
-                if start < bound < end:
-                    cuts.add(bound)
-    points = sorted(cuts)
-
-    by_key = {(j.task, j.index): j for j in trace.jobs}
-    inactive = 0
-    progress = 0
-    iv_pos = 0
     intervals = trace.intervals
-    for t0, t1 in zip(points, points[1:]):
-        width = t1 - t0
-        while intervals[iv_pos].end <= t0:
-            iv_pos += 1
-        iv = intervals[iv_pos]
-        running = by_key[(iv.task, iv.job)] if iv.kind == "run" else None
-
-        if ref_key is not None and running is not None:
-            if running.task != task and key(running) < ref_key:
-                ref_interference[running.task] += width
-
-        active = [
-            j for j in k_jobs
-            if j.release <= t0 and (j.finish is None or j.finish > t0)
-        ]
+    i = bisect_right(intervals, start, key=_end_of)
+    inactive = progress = 0
+    # the current job: its position in k_jobs, release, finish (`end`
+    # when unfinished), key, suspension spans and the first span not yet
+    # over
+    p = -1
+    cur_fin = start
+    cur = None
+    t = start
+    while t < end:
+        while cur_fin <= t:
+            p += 1
+            if p == len(k_jobs):
+                cur = None
+                cur_fin = end
+                break
+            cur = k_jobs[p]
+            cur_rel = cur.release
+            cur_fin = end if cur.finish is None else cur.finish
+            cur_key = (cur_rel + own, task, p)
+            spans = cur.susp_spans
+            s = 0
+        iv = intervals[i]
+        nxt = iv.end if iv.end < end else end
+        r = iv.task
+        rkey = None
+        if r >= 0 and r != task:
+            rkey = (jobs[first[r] + iv.job].release + pts[r], r, iv.job)
+        suspended = False
+        active = cur is not None and cur_rel <= t
         if active:
-            current = min(active, key=lambda j: j.index)
-            if (
-                running is not None
-                and running.task != task
-                and key(running) < key(current)
-            ):
-                interference[running.task] += width
-            else:
-                progress += width
-        else:
-            inactive += width
+            if cur_fin < nxt:
+                nxt = cur_fin
+            while s < len(spans) and spans[s][1] <= t:
+                s += 1
+            if s < len(spans):
+                a, b = spans[s]
+                if a <= t:
+                    suspended = True
+                    if b < nxt:
+                        nxt = b
+                elif a < nxt:
+                    nxt = a
+        elif cur is not None and cur_rel < nxt:
+            nxt = cur_rel
+        width = nxt - t
 
-        for j in k_jobs:
-            if running is not None and running.task == task and running.index == j.index:
-                per_job[j.index] += width
-                continue
-            suspended = any(a <= t0 < b for a, b in j.susp_spans)
-            if suspended and not (
-                running is not None and key(running) < key(j)
-            ):
-                per_job[j.index] += width
+        if ref_key is not None and rkey is not None and rkey < ref_key:
+            ref_interference[r] += width
+        if not active:
+            inactive += width
+        elif rkey is not None and rkey < cur_key:
+            interference[r] += width
+        else:
+            progress += width
+            if suspended or r == task:  # a running task-k job is the current one
+                per_job[p] += width
+
+        t = nxt
+        if t == iv.end:
+            i += 1
 
     return StateTimes(inactive, progress, interference, per_job, ref_interference)

@@ -253,6 +253,19 @@ def test_sweep_incomplete_utilization_grid_exits_two(tmp_path, capsys, grid):
     assert "error: utilization_pct needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"policies": [{"policy": "eqdf", "lambda": "w"}]},
+    {"utilizations": ["w"]},
+    {"deadline_factors": ["w"]},
+    {"eta": "w"},
+], ids=["lambda", "utilizations", "deadline_factors", "eta"])
+def test_sweep_non_rational_config_value_exits_two(tmp_path, capsys, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"sets_per_point": 1, **config}))
+    assert main(["sweep", "--config", str(cfg), "-o", str(tmp_path)]) == 2
+    assert "error: not a rational number: 'w'" in capsys.readouterr().err
+
+
 def test_sweep_dm_policy_matches_tfp_on_synthesized_sets(tmp_path, capsys):
     # synthesized sets are deadline-sorted, so deadline-monotonic points
     # are the list-order (tfp) points

@@ -3,13 +3,16 @@ trace export, and the processor-state accounting."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from elsched import (
+    GenSpec,
     PriorityPolicy,
     Task,
     TaskSet,
@@ -21,8 +24,10 @@ from elsched import (
     response_times,
     simulate_el,
     simulate_tfp,
+    synthesize,
     validate_sequence,
 )
+from elsched.generator import TICKS_PER_MS
 from elsched.simulator import (
     DEMAND_MODELS,
     RELEASE_MODELS,
@@ -695,6 +700,132 @@ def test_backbone_bound_dominates_response_time():
             assert job.finish - job.release <= bound
             checked += 1
     assert checked > 100
+
+
+def _overlapping_jobs(trace) -> bool:
+    """Whether some job is released before its predecessor finishes."""
+    prev = None
+    for j in trace.jobs:
+        if prev is not None and prev.task == j.task:
+            if prev.finish is None or prev.finish > j.release:
+                return True
+        prev = j
+    return False
+
+
+def test_state_times_match_per_tick_oracle_beyond_implicit_deadlines():
+    # D up to 3T lets a task hold several pending jobs at once; the four
+    # parameter-free policies, horizons down to one tick, and windows
+    # that touch 0 or the horizon.
+    rng = random.Random(62_832)
+    policies = (
+        PriorityPolicy.edf(), PriorityPolicy.fifo(), PriorityPolicy.tfp(), PriorityPolicy.dm()
+    )
+    overlapping = 0
+    for _ in range(120):
+        tasks = []
+        for _ in range(rng.randint(1, 4)):
+            t = rng.randint(3, 20)
+            d = rng.randint(2, 3 * t)
+            tasks.append(Task(rng.randint(1, min(d, t)), rng.randint(0, 4), d, t))
+        ts = TaskSet(tuple(tasks))
+        pts = derive_priority_points(ts, rng.choice(policies))
+        horizon = rng.choice([1, 2, rng.randint(3, 15), rng.randint(16, 90)])
+        seq = generate_job_sequence(
+            ts, horizon, seed=rng.randint(0, 2**32),
+            release_model=rng.choice(RELEASE_MODELS),
+            suspension_model=rng.choice(SUSPENSION_MODELS),
+            demand_model=rng.choice(DEMAND_MODELS),
+        )
+        trace = simulate_el(ts, pts, seq)
+        overlapping += _overlapping_jobs(trace)
+        for _ in range(5):
+            k = rng.randrange(len(ts))
+            c = rng.choice([0, rng.randint(0, horizon)])
+            d = rng.choice([horizon, rng.randint(c, horizon)])
+            k_jobs = [j.index for j in trace.jobs if j.task == k]
+            ref = rng.choice(k_jobs) if k_jobs and rng.random() < 0.5 else None
+            st = measure_state_times(trace, ts, pts, k, c, d, ref_index=ref)
+            ticks = _per_tick_state_times(trace, ts, pts, k, c, d, ref_index=ref)
+            assert (
+                st.inactive,
+                st.progress,
+                st.interference,
+                st.per_job_progress,
+                st.ref_interference,
+            ) == ticks
+    assert overlapping >= 10
+
+
+# --- pinned state-time and export digests --------------------------------------------------
+
+# First 16 hex digits of sha256 digests over _benchmark_scale_traces,
+# recorded before measure_state_times became a sweep line and before the
+# recorded engine built its records through private constructors: any
+# change to a state bucket or an exported byte moves them.
+STATE_TIMES_DIGEST = "4deb88199afc5ada"
+EXPORT_DIGEST = "bac38862ad3c3bfc"
+
+
+@pytest.fixture(scope="module")
+def benchmark_scale_sets():
+    """n = 10 synthesized sets over a 2 s horizon with 20-100 ms periods,
+    with their priority points and one drawn job sequence each."""
+    rng = random.Random(2_718_281)
+    horizon = 2_000 * TICKS_PER_MS
+    cases = []
+    for u, x, policy in (
+        (Fraction(3, 10), 1, PriorityPolicy.tfp()),
+        (Fraction(3, 5), 1, PriorityPolicy.edf()),
+        (Fraction(1, 2), 2, PriorityPolicy.fifo()),
+    ):
+        ts = synthesize(GenSpec(n=10, u_total=u, seed=rng.randrange(2**32),
+                                period_range=(20, 100), deadline_factor=x))
+        pts = derive_priority_points(ts, policy)
+        seq = generate_job_sequence(ts, horizon, rng.randrange(2**32), demand_model="random")
+        cases.append((ts, pts, seq))
+    return cases
+
+
+def test_state_times_are_pinned(benchmark_scale_sets):
+    rng = random.Random(141_421)
+    h = hashlib.sha256()
+    for ts, pts, seq in benchmark_scale_sets:
+        trace = simulate_el(ts, pts, seq)
+        horizon = trace.horizon
+        width = horizon // 10
+        a = rng.randrange(horizon - width)
+        for start, end in ((a, a + width), (0, horizon)):
+            for k in range(len(ts)):
+                k_jobs = [j for j in trace.jobs if j.task == k]
+                ref = next((j.index for j in k_jobs if j.release >= start), k_jobs[-1].index)
+                for ref_index in (None, ref):
+                    st = measure_state_times(trace, ts, pts, k, start, end, ref_index=ref_index)
+                    h.update(repr(st).encode())
+    assert h.hexdigest()[:16] == STATE_TIMES_DIGEST
+
+
+def test_exports_are_pinned(benchmark_scale_sets):
+    h = hashlib.sha256()
+    for ts, pts, seq in benchmark_scale_sets:
+        h.update(export_trace(simulate_el(ts, pts, seq)).encode())
+        h.update(export_trace(simulate_tfp(ts, seq)).encode())
+    assert h.hexdigest()[:16] == EXPORT_DIGEST
+
+
+def test_recorded_objects_match_ordinary_instances():
+    # The engine builds intervals and job records through private
+    # constructors; they compare, hash and print like ordinary instances
+    # and stay frozen.
+    rng = random.Random(7_777)
+    for _ in range(10):
+        _, _, _, trace = _random_trace(rng)
+        for obj in trace.intervals + trace.jobs:
+            fields = dataclasses.fields(obj)
+            twin = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
+            assert obj == twin and hash(obj) == hash(twin) and repr(obj) == repr(twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, fields[0].name, 0)
 
 
 def test_response_times_exclude_unfinished_jobs():
