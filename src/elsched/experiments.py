@@ -36,7 +36,6 @@ from .analysis import (
 from .generator import GenSpec, synthesize
 from .model import PriorityPolicy, TaskSet, derive_priority_points
 from .simulator import (
-    export_trace,
     generate_job_sequence,
     random_run_feasible,
     simulate_el,
@@ -438,9 +437,7 @@ def verify_fp_equivalence(
                 demand_model="random",
             )
             sequences += 1
-            a = export_trace(simulate_el(ts, pts, seq))
-            b = export_trace(simulate_tfp(ts, seq))
-            if a != b:
+            if simulate_el(ts, pts, seq) != simulate_tfp(ts, seq):
                 mismatches.append({"set_seed": seed, "sim_seed": sim_seed})
     return EquivalenceReport(attempts, accepted, sequences, tuple(mismatches))
 

@@ -19,6 +19,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import log
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -133,6 +134,9 @@ class JobSequence:
 
     jobs: tuple[JobBehavior, ...]
     horizon: int
+    # the task set `generate_job_sequence` drew the jobs for: valid for
+    # it by construction.  Unset (None) for sequences built any other way
+    _drawn_for: TaskSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -408,10 +412,15 @@ def simulate_el(
 ) -> ScheduleTrace:
     """Simulate dispatching by absolute priority points (release plus the
     task's relative point), smaller first, ties by (task, job index).
+
+    Raises ValueError if `seq` breaks the task model of `ts`
+    (`validate_sequence`); a sequence `generate_job_sequence` drew for a
+    task set equal to `ts` is valid by construction and is not checked.
     """
     if len(rel_points) != len(ts):
         raise ValueError("one relative priority point per task required")
-    validate_sequence(ts, seq)
+    if seq._drawn_for != ts:
+        validate_sequence(ts, seq)
     _, trace = _run_engine(len(ts), seq.horizon, _engine_jobs(seq), _el_key(rel_points))
     return trace
 
@@ -419,8 +428,10 @@ def simulate_el(
 def simulate_tfp(ts: TaskSet, seq: JobSequence) -> ScheduleTrace:
     """Simulate strict task-level fixed priorities in task order (lower
     task index always wins); same engine, different comparison key.
+    Validates `seq` as `simulate_el` does.
     """
-    validate_sequence(ts, seq)
+    if seq._drawn_for != ts:
+        validate_sequence(ts, seq)
     _, trace = _run_engine(len(ts), seq.horizon, _engine_jobs(seq), lambda j: (j[0], j[1]))
     return trace
 
@@ -437,7 +448,23 @@ def _draw_jobs(
     demand_model: str,
 ) -> list[_EngineJob]:
     """The jobs of `generate_job_sequence` in the engine's form, sorted by
-    (task, index).  Valid for `ts` by construction."""
+    (task, index).  Valid for `ts` by construction.
+
+    The draws are those of `random.Random(seed)` calling `randint` and
+    `expovariate`, in the same order, made without the Python-level calls
+    those methods go through.  Each integer in [0, n) is drawn with CPython's own rule
+    (`Random._randbelow_with_getrandbits`): k = n.bit_length() bits from
+    `getrandbits`, redrawn while the value is n or more; `randint(a, b)`
+    is a plus such a draw with n = b - a + 1.  Each release gap adds
+    int(-log(1.0 - random()) / lam) with lam = 10.0 / period, the float
+    `expovariate(lam)` returns.  Per task, the releases are drawn first,
+    then each job in release order draws its demand (below wcet + 1,
+    'random' demand only) and, under 'random-phases' with a nonzero
+    budget and demand, its number of suspensions (below 4); if that is
+    not 0, the total suspension (below budget + 1), one cut per extra
+    suspension (below total + 1) and one execution offset per suspension
+    (below demand).
+    """
     if release_model not in RELEASE_MODELS:
         raise ValueError(f"unknown release model {release_model!r}")
     if suspension_model not in SUSPENSION_MODELS:
@@ -445,53 +472,77 @@ def _draw_jobs(
     if demand_model not in DEMAND_MODELS:
         raise ValueError(f"unknown demand model {demand_model!r}")
     rng = random.Random(seed)
-    # rng.randint(a, b) is a + rng._randbelow(b - a + 1): the same draws
-    # without randint/randrange's argument checking
-    randbelow = rng._randbelow
+    getrandbits = rng.getrandbits
+    uniform = rng.random
     jittered = release_model == "sporadic-jittered"
     random_demand = demand_model == "random"
+    phased = suspension_model == "random-phases"
     jobs: list[_EngineJob] = []
+    append = jobs.append
     for tid, task in enumerate(ts):
-        releases: list[int] = []
-        r = 0
-        while r < horizon:
-            releases.append(r)
-            gap = task.period
-            if jittered:
-                gap += int(rng.expovariate(10.0 / task.period))
-            r += gap
+        period, wcet, budget = task.period, task.wcet, task.suspension
+        if jittered:
+            lam = 10.0 / period
+            releases = []
+            r = 0
+            while r < horizon:
+                releases.append(r)
+                r += period + int(-log(1.0 - uniform()) / lam)
+        else:
+            releases = range(0, horizon, period)
+        suspends = budget > 0 and suspension_model != "none"
+        k_demand = (wcet + 1).bit_length()
+        k_total = (budget + 1).bit_length()
         for pos, rel in enumerate(releases):
-            c = randbelow(task.wcet + 1) if random_demand else task.wcet
-            steps = _draw_steps(randbelow, c, task.suspension, suspension_model)
-            jobs.append((tid, pos, rel, steps))
+            c = wcet
+            if random_demand:
+                c = getrandbits(k_demand)
+                while c > wcet:
+                    c = getrandbits(k_demand)
+            if not suspends or c == 0:
+                steps = ((0, c),) if c else ()
+            elif not phased:
+                # max-single-block: the whole budget after the first
+                # executed tick
+                steps = ((0, 1), (1, budget), (0, c - 1)) if c > 1 else ((0, 1),)
+            else:
+                # up to three suspensions summing to a uniform total, at
+                # uniformly drawn execution offsets in [0, c - 1]
+                n_seg = getrandbits(3)  # below 4, and 4 .bit_length() is 3
+                while n_seg > 3:
+                    n_seg = getrandbits(3)
+                if n_seg == 0:
+                    steps = ((0, c),)
+                else:
+                    total = getrandbits(k_total)
+                    while total > budget:
+                        total = getrandbits(k_total)
+                    k = (total + 1).bit_length()
+                    cuts = []
+                    for _ in range(n_seg - 1):
+                        x = getrandbits(k)
+                        while x > total:
+                            x = getrandbits(k)
+                        cuts.append(x)
+                    cuts.sort()
+                    cuts.append(total)
+                    k = c.bit_length()
+                    offsets = []
+                    for _ in range(n_seg):
+                        x = getrandbits(k)
+                        while x >= c:
+                            x = getrandbits(k)
+                        offsets.append(x)
+                    offsets.sort()
+                    phases = []
+                    prev_off = prev_cut = 0
+                    for off, cut in zip(offsets, cuts):
+                        phases.append((off - prev_off, cut - prev_cut))
+                        prev_off, prev_cut = off, cut
+                    phases.append((c - prev_off, 0))
+                    steps = _steps_of(phases)
+            append((tid, pos, rel, steps))
     return jobs
-
-
-def _draw_steps(
-    randbelow: Callable[[int], int], demand: int, susp_budget: int, model: str
-) -> tuple[tuple[int, int], ...]:
-    """Draw one job's phase plan as canonical steps (see `_steps_of`)."""
-    if model == "none" or susp_budget == 0 or demand == 0:
-        return ((0, demand),) if demand else ()
-    if model == "max-single-block":
-        # the whole budget after the first executed tick
-        return ((0, 1), (1, susp_budget), (0, demand - 1)) if demand > 1 else ((0, 1),)
-    n_seg = randbelow(4)
-    if n_seg == 0:
-        return ((0, demand),)
-    # up to three suspensions summing to a uniform total, at uniformly
-    # drawn execution offsets in [0, demand - 1]
-    total = randbelow(susp_budget + 1)
-    cuts = sorted([randbelow(total + 1) for _ in range(n_seg - 1)])
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
-    offsets = sorted([randbelow(demand) for _ in range(n_seg)])
-    phases: list[tuple[int, int]] = []
-    prev = 0
-    for off, part in zip(offsets, parts):
-        phases.append((off - prev, part))
-        prev = off
-    phases.append((demand - prev, 0))
-    return _steps_of(phases)
 
 
 def generate_job_sequence(
@@ -514,9 +565,11 @@ def generate_job_sequence(
     'wcet' or 'random' (uniform over [0, wcet]).
     """
     jobs = _draw_jobs(ts, horizon, seed, release_model, suspension_model, demand_model)
-    return JobSequence(
+    seq = JobSequence(
         jobs=tuple(JobBehavior._from_steps(*job) for job in jobs), horizon=horizon
     )
+    object.__setattr__(seq, "_drawn_for", ts)
+    return seq
 
 
 def random_run_feasible(

@@ -4,12 +4,13 @@ mapping, and the cross-validation harnesses."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 from fractions import Fraction
 
 import pytest
 
-from elsched import PriorityPolicy, experiments
+from elsched import PriorityPolicy, experiments, simulate_tfp
 from elsched.experiments import (
     LambdaSweepConfig,
     PolicyChoice,
@@ -288,6 +289,21 @@ def test_verify_fp_equivalence_smoke():
     assert rep.accepted == 5
     assert rep.sequences == 10
     assert rep.mismatches == ()
+
+
+def test_verify_fp_equivalence_reports_a_perturbed_trace(monkeypatch):
+    # Traces are compared whole, suspension spans included, which the
+    # exported text does not show.
+    def perturbed(ts, seq):
+        trace = simulate_tfp(ts, seq)
+        job = trace.jobs[-1]
+        job = dataclasses.replace(job, susp_spans=job.susp_spans + ((0, 0),))
+        return dataclasses.replace(trace, jobs=trace.jobs[:-1] + (job,))
+
+    monkeypatch.setattr(experiments, "simulate_tfp", perturbed)
+    rep = verify_fp_equivalence(target_accepted=2, master_seed=1, seqs_per_set=2, n=4)
+    assert rep.sequences == 4
+    assert len(rep.mismatches) == 4
 
 
 def test_verify_fixed_vs_extended_smoke():

@@ -297,6 +297,22 @@ def test_simulate_rejects_malformed_sequence():
         simulate_tfp(ts, bad)
 
 
+def test_simulate_validates_generated_sequences_against_other_task_sets():
+    # A generated sequence skips validation only for the task set it was
+    # drawn for: against one with a lower wcet, or rebuilt by
+    # dataclasses.replace with invalid jobs, it still raises.
+    ts = TaskSet((Task(3, 2, 9, 9), Task(5, 4, 20, 20)))
+    seq = generate_job_sequence(ts, 100, seed=7)
+    simulate_tfp(TaskSet(ts.tasks), seq)  # an equal set: accepted
+    lower = TaskSet((Task(2, 2, 9, 9), Task(5, 4, 20, 20)))
+    bad_jobs = seq.jobs[:1] + (dataclasses.replace(seq.jobs[1], release=1),) + seq.jobs[2:]
+    for other, s in ((lower, seq), (ts, dataclasses.replace(seq, jobs=bad_jobs))):
+        with pytest.raises(ValueError):
+            simulate_el(other, (9, 20), s)
+        with pytest.raises(ValueError):
+            simulate_tfp(other, s)
+
+
 # --- sequence generation ----------------------------------------------------------------
 
 
@@ -389,6 +405,68 @@ def test_generate_draw_sequence_is_pinned():
             for j in seq.jobs:
                 h.update(repr((j.task, j.index, j.release, j.phases)).encode())
         assert h.hexdigest()[:16] == expected, (release, susp, demand)
+
+
+# Edge cases of the draw stream, one (task set, horizon) pair each:
+# wcet 1 (every offset draw is randbelow(1)), wcet 0, budgets 0 and 1,
+# random demand that often draws 0, periods at and past the horizon,
+# and bounds of 2**32 and more, where getrandbits takes over 32 bits.
+EDGE_CASES = (
+    (TaskSet((
+        Task(1, 5, 10, 10), Task(4, 0, 12, 12), Task(3, 1, 9, 9),
+        Task(2, 3, 7, 7), Task(0, 2, 5, 5), Task(2, 2, 120, 120),
+        Task(5, 4, 300, 300),
+    )), 120),
+    (TaskSet((
+        Task(2**33 + 5, 2**34 + 3, 2**36, 2**36),
+        Task(2**32, 2**32 + 1, 2**35, 2**35),
+        Task(3, 2**40, 2**36, 2**36),
+    )), 2**38),
+)
+EDGE_GENERATION_DIGEST = "bd97110fadb47a27"
+
+
+def test_generate_edge_draw_sequence_is_pinned():
+    h = hashlib.sha256()
+    for ts, horizon in EDGE_CASES:
+        for combo in itertools.product(RELEASE_MODELS, SUSPENSION_MODELS, DEMAND_MODELS):
+            release, susp, demand = combo
+            for seed in (0, 1, 2**40 + 7):
+                seq = generate_job_sequence(
+                    ts, horizon, seed,
+                    release_model=release, suspension_model=susp, demand_model=demand,
+                )
+                h.update(repr(combo).encode())
+                for j in seq.jobs:
+                    h.update(repr((j.task, j.index, j.release, j.phases)).encode())
+    assert h.hexdigest()[:16] == EDGE_GENERATION_DIGEST
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 2**31, 2**32, 2**32 + 1])
+def test_bounded_draw_matches_randbelow(n):
+    # The generator draws each integer below n with CPython's rejection
+    # rule on getrandbits; if a new interpreter changes the rule, this
+    # fails before the pinned digests do.
+    ours, ref = random.Random(n), random.Random(n)
+    getrandbits = ours.getrandbits
+    k = n.bit_length()
+    for _ in range(200):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        assert r == ref._randbelow(n)
+    assert ours.getstate() == ref.getstate()
+    # the same stream through the generator: task 0's demands draw below
+    # n, and task 1's draws after them read the state those draws left
+    ts = TaskSet((Task(n - 1, 0, n, 10), Task(2**32, 0, 2**32, 10)))
+    jobs = generate_job_sequence(
+        ts, 100, seed=n, release_model="periodic",
+        suspension_model="none", demand_model="random",
+    ).jobs
+    ref = random.Random(n)
+    expected = [ref._randbelow(n) for _ in range(10)]
+    expected += [ref._randbelow(2**32 + 1) for _ in range(10)]
+    assert [j.demand for j in jobs] == expected
 
 
 # --- engine invariants (fuzz) ----------------------------------------------------------------
