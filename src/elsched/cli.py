@@ -171,31 +171,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.count < 1:
         print("error: --count must be at least 1", file=sys.stderr)
         return 2
-    total_discards = 0
-    if args.count == 1:
-        ts, discards = synthesize_counting(GenSpec(
-            n=args.n, u_total=args.u, seed=args.seed, deadline_factor=args.x,
-        ))
-        total_discards = discards
-        text = format_taskset_text(ts)
-        if args.output:
-            Path(args.output).write_text(text)
-        else:
-            sys.stdout.write(text)
+    if args.count > 1 and not args.output:
+        print("error: --count > 1 requires -o", file=sys.stderr)
+        return 2
+    seeds = ([args.seed] if args.count == 1 else
+             [experiments.cell_seed(args.seed, "generate", i) for i in range(args.count)])
+    drawn = [synthesize_counting(GenSpec(
+        n=args.n, u_total=args.u, seed=seed, deadline_factor=args.x,
+    )) for seed in seeds]
+    if args.count > 1:
+        dump_batch([BatchEntry(id=f"set{i}", seed=seed, u_target=args.u, taskset=ts)
+                    for i, (seed, (ts, _)) in enumerate(zip(seeds, drawn))], args.output)
+    elif args.output:
+        Path(args.output).write_text(format_taskset_text(drawn[0][0]))
     else:
-        entries = []
-        for i in range(args.count):
-            seed = experiments.cell_seed(args.seed, "generate", i)
-            ts, discards = synthesize_counting(GenSpec(
-                n=args.n, u_total=args.u, seed=seed, deadline_factor=args.x,
-            ))
-            total_discards += discards
-            entries.append(BatchEntry(id=f"set{i}", seed=seed,
-                                      u_target=args.u, taskset=ts))
-        if not args.output:
-            print("error: --count > 1 requires -o", file=sys.stderr)
-            return 2
-        dump_batch(entries, args.output)
+        sys.stdout.write(format_taskset_text(drawn[0][0]))
+    total_discards = sum(discards for _, discards in drawn)
     if total_discards:
         print(f"discarded {total_discards} utilization draws "
               f"(single-task utilization above 1)", file=sys.stderr)
@@ -253,7 +244,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_from_json(obj: dict) -> PolicyChoice:
+def _integer(value: object, what: str, lo: int | None = None) -> int:
+    """An integral JSON number or numeral, at least lo."""
+    f = _fraction(value) if isinstance(value, (int, float, str)) else None
+    if f is None or f.denominator != 1 or lo is not None and f < lo:
+        floor = "" if lo is None else f" >= {lo}"
+        raise ValueError(f"{what} must be an integer{floor}, got {value!r}")
+    return int(f)
+
+
+def _json_list(obj: dict, key: str, default: list) -> list:
+    value = obj.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _policy_from_json(obj: object) -> PolicyChoice:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a policy entry must be an object, got {obj!r}")
     name = obj.get("policy", "edf")
     weight = _fraction(obj["lambda"]) if "lambda" in obj else Fraction(0)
     return PolicyChoice(obj.get("label", name), _policy(name, weight), obj.get("test", "fixed"))
@@ -261,7 +270,7 @@ def _policy_from_json(obj: dict) -> PolicyChoice:
 
 def _utilizations_from_json(obj: dict) -> tuple[Fraction, ...]:
     if "utilizations" in obj:
-        return tuple(_fraction(u) for u in obj["utilizations"])
+        return tuple(_fraction(u) for u in _json_list(obj, "utilizations", []))
     grid = obj.get("utilization_pct", {"lo": 5, "hi": 100, "step": 5})
     try:
         return experiments.utilization_grid(grid["lo"], grid["hi"], grid["step"])
@@ -271,64 +280,60 @@ def _utilizations_from_json(obj: dict) -> tuple[Fraction, ...]:
         ) from exc
 
 
-def _test_config_from_json(obj: dict) -> TestConfig:
-    return TestConfig(
-        eta=_fraction(obj.get("eta", "1/100")),
-        depth=int(obj.get("depth", 5)),
-        max_a=int(obj.get("max_a", 10)),
+def _sweep_config(path: str, name: str) -> tuple[dict, dict]:
+    """A sweep config's JSON object and, checked, the fields both sweeps
+    share."""
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError("a sweep config must be a JSON object")
+    periods = _json_list(obj, "period_range", [1, 100])
+    if len(periods) != 2 or not all(type(p) in (int, float) for p in periods):
+        raise ValueError(f"period_range needs two numbers, got {periods!r}")
+    return obj, dict(
+        name=obj.get("name", name),
+        master_seed=_integer(obj.get("master_seed", 0), "master_seed"),
+        utilizations=_utilizations_from_json(obj),
+        sets_per_point=_integer(obj.get("sets_per_point", 100), "sets_per_point", 1),
+        n=_integer(obj.get("n", 10), "n", 1),
+        deadline_factors=tuple(_fraction(x) for x in _json_list(obj, "deadline_factors", ["1"])),
+        period_range=tuple(periods),
+        test_config=TestConfig(
+            eta=_fraction(obj.get("eta", "1/100")),
+            depth=_integer(obj.get("depth", 5), "depth"),
+            max_a=_integer(obj.get("max_a", 10), "max_a"),
+        ),
     )
+
+
+def _write_sweep(rows: list[dict], cfg: SweepConfig | LambdaSweepConfig, outdir: str) -> int:
+    path = experiments.sweep_csv_path(outdir, cfg.name, cfg.master_seed)
+    experiments.write_rows_csv(path, rows)
+    print(path)
+    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    obj = json.loads(Path(args.config).read_text())
-    cfg = SweepConfig(
-        name=obj.get("name", "acceptance"),
-        master_seed=int(obj.get("master_seed", 0)),
-        utilizations=_utilizations_from_json(obj),
-        sets_per_point=int(obj.get("sets_per_point", 100)),
-        n=int(obj.get("n", 10)),
-        deadline_factors=tuple(
-            _fraction(x) for x in obj.get("deadline_factors", ["1"])
-        ),
-        period_range=tuple(obj.get("period_range", (1, 100))),
-        policies=tuple(_policy_from_json(p) for p in obj.get(
-            "policies", [{"policy": "edf"}]
-        )),
-        test_config=_test_config_from_json(obj),
-    )
-    rows = experiments.acceptance_sweep(cfg)
-    path = experiments.sweep_csv_path(args.outdir, cfg.name, cfg.master_seed)
-    experiments.write_rows_csv(path, rows)
-    print(path)
-    return 0
+    obj, common = _sweep_config(args.config, "acceptance")
+    policies = tuple(map(_policy_from_json, _json_list(obj, "policies", [{"policy": "edf"}])))
+    cfg = SweepConfig(**common, policies=policies)
+    return _write_sweep(experiments.acceptance_sweep(cfg), cfg, args.outdir)
 
 
 def _cmd_lambda_sweep(args: argparse.Namespace) -> int:
-    obj = json.loads(Path(args.config).read_text())
-    weights = obj.get("weights")
+    obj, common = _sweep_config(args.config, "lambda")
+    weights = _json_list(obj, "weights", list(range(-10, 11)))
+    if not weights:
+        raise ValueError("weights must not be empty")
     cfg = LambdaSweepConfig(
-        family=obj.get("family", "eqdf"),
-        name=obj.get("name", "lambda"),
-        master_seed=int(obj.get("master_seed", 0)),
-        utilizations=_utilizations_from_json(obj),
-        weights=tuple(int(w) for w in weights) if weights else tuple(range(-10, 11)),
-        sets_per_point=int(obj.get("sets_per_point", 100)),
-        n=int(obj.get("n", 10)),
-        deadline_factors=tuple(
-            _fraction(x) for x in obj.get("deadline_factors", ["1"])
-        ),
-        period_range=tuple(obj.get("period_range", (1, 100))),
-        test=obj.get("test", "fixed"),
-        test_config=_test_config_from_json(obj),
+        **common, family=obj.get("family", "eqdf"), test=obj.get("test", "fixed"),
+        weights=tuple(_integer(w, "weight") for w in weights),
     )
-    rows = experiments.lambda_sweep(cfg)
-    path = experiments.sweep_csv_path(args.outdir, cfg.name, cfg.master_seed)
-    experiments.write_rows_csv(path, rows)
-    print(path)
-    return 0
+    return _write_sweep(experiments.lambda_sweep(cfg), cfg, args.outdir)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise ValueError("--budget must be at least 1")
     if args.campaign == "soundness":
         rep = experiments.verify_soundness(sets=args.budget, master_seed=args.seed)
         print(f"{len(rep.outcomes)} sets, {rep.accepted} accepted, "
@@ -338,21 +343,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1 if rep.violations else 0
     if args.campaign == "tfp-equivalence":
         rep = experiments.verify_fp_equivalence(
-            target_accepted=max(1, args.budget // 10), master_seed=args.seed
-        )
+            target_accepted=max(1, args.budget // 10), master_seed=args.seed)
         print(f"{rep.accepted} certified sets of {rep.attempts} tried, "
               f"{rep.sequences} traces compared, {len(rep.mismatches)} mismatches")
         return 1 if rep.mismatches else 0
     if args.campaign == "fixed-vs-variable":
-        rep = experiments.verify_fixed_vs_extended(
-            sets=args.budget, master_seed=args.seed
-        )
+        rep = experiments.verify_fixed_vs_extended(sets=args.budget, master_seed=args.seed)
         print(f"{rep.sets} deadline-equals-period sets, "
               f"{len(rep.mismatches)} disagreements")
         return 1 if rep.mismatches else 0
-    search = experiments.find_non_dominance_pair(
-        budget=args.budget, master_seed=args.seed
-    )
+    search = experiments.find_non_dominance_pair(budget=args.budget, master_seed=args.seed)
     print(f"checked {search.checked} sets")
     for name, wit in (("fixed-only", search.fixed_only),
                       ("variable-only", search.extended_only)):

@@ -3,11 +3,12 @@ runtime benchmarks, cross-validation of the analysis against the
 simulator, and targeted searches for sets where the two window tests
 disagree.
 
-Campaigns are deterministic: every synthesized set's seed is derived by
-hashing the master seed with the cell coordinates (utilization, deadline
-factor, set index), so reruns and concurrent workers see identical
-inputs.  The worker count for cell-parallel campaigns honors the
-EL_SCHED_THREADS environment variable.
+Campaigns are deterministic: every set is drawn by one rule (`_Corpus`)
+that hashes the master seed with the cell coordinates (utilization,
+deadline factor, set index) into its seed.  Each sweep cell and verify
+set is one item of `parallel_map`, which keeps item order and stops in
+item order, so reports are the same at any worker count.  Campaigns large
+enough to repay a process pool use EL_SCHED_THREADS workers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -58,17 +60,46 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
+def parallel_map(fn: Callable, items: Sequence, workers: int | None = None,
+                 until: Callable[[object], bool] | None = None) -> list:
     """Order-preserving map over picklable items; plain loop when one
-    worker suffices."""
+    worker suffices.  With `until`, the map ends after the first result,
+    in item order, for which until(result) is true; a pool then evaluates
+    one step of 8 items per worker at a time and drops the results past
+    the stop, so the results are the same at any worker count."""
     items = list(items)
     w = worker_count() if workers is None else max(1, workers)
     w = min(w, len(items)) if items else 1
     if w <= 1:
-        return [fn(it) for it in items]
-    chunk = max(1, len(items) // (w * 4))
+        return _until(map(fn, items), until)
+    step = len(items) if until is None else 8 * w  # at most one step runs past a stop
+    chunk = max(1, step // (w * 4))
     with ProcessPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return _until((r for i in range(0, len(items), step)
+                       for r in pool.map(fn, items[i:i + step], chunksize=chunk)), until)
+
+
+def _until(results, until: Callable[[object], bool] | None) -> list:
+    out = []
+    for r in results:
+        out.append(r)
+        if until is not None and until(r):
+            break
+    return out
+
+
+# Campaigns estimated to simulate fewer jobs than this stay on the plain
+# loop.  On a 2-core machine a 2-worker pool took 10-20 ms to start and
+# broke even near 25,000 estimated jobs; the margin keeps small campaigns
+# from ever paying for it.  One analysis costs about as much as
+# simulating _ANALYSIS_JOBS jobs per task.
+_POOL_MIN_JOBS = 50_000
+_ANALYSIS_JOBS = 10
+
+
+def _gate(est_jobs: int) -> int | None:
+    """Workers for a campaign: one below _POOL_MIN_JOBS estimated jobs."""
+    return None if est_jobs >= _POOL_MIN_JOBS else 1
 
 
 def cell_seed(master_seed: int, *parts: object) -> int:
@@ -83,6 +114,39 @@ def utilization_grid(lo_pct: int, hi_pct: int, step_pct: int) -> tuple[Fraction,
 
 
 @dataclass(frozen=True)
+class _Corpus:
+    """The rule every campaign draws its sets by.  Set idx takes the
+    utilization u_grid[idx % len(u_grid)] and, block by block of
+    len(u_grid) sets, the next deadline factor; its seed is
+    cell_seed(master_seed, u, x, idx).  A sweep cell is a corpus with
+    one utilization and one deadline factor."""
+
+    master_seed: int
+    n: int
+    period_range: tuple[float, float]
+    u_grid: Sequence[Fraction]
+    deadline_factors: Sequence[Fraction] = (Fraction(1),)
+    suspension_factor_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1, 2))
+
+    def __post_init__(self) -> None:
+        if not self.u_grid or not self.deadline_factors:
+            raise ValueError("a campaign needs a utilization and a deadline factor")
+
+    def taskset(self, u: Fraction, x: Fraction, seed: int) -> TaskSet:
+        return synthesize(GenSpec(
+            n=self.n, u_total=u, seed=seed, period_range=self.period_range,
+            deadline_factor=x, suspension_factor_range=self.suspension_factor_range,
+        ))
+
+    def draw(self, idx: int) -> tuple[int, Fraction, Fraction, TaskSet]:
+        """Set idx with its seed, utilization and deadline factor."""
+        u = self.u_grid[idx % len(self.u_grid)]
+        x = self.deadline_factors[idx // len(self.u_grid) % len(self.deadline_factors)]
+        seed = cell_seed(self.master_seed, u, x, idx)
+        return seed, u, x, self.taskset(u, x, seed)
+
+
+@dataclass(frozen=True)
 class PolicyChoice:
     """A labeled (policy, test) combination evaluated by sweeps."""
 
@@ -93,9 +157,6 @@ class PolicyChoice:
     def __post_init__(self) -> None:
         if self.test not in TESTS:
             raise ValueError(f"unknown test kind {self.test!r}")
-
-    def run(self, ts: TaskSet, config: TestConfig) -> AnalysisResult:
-        return run_test(self.test, ts, derive_priority_points(ts, self.policy), config)
 
 
 def _default_policies() -> tuple[PolicyChoice, ...]:
@@ -126,46 +187,51 @@ class SweepConfig:
     policies: tuple[PolicyChoice, ...] = field(default_factory=_default_policies)
     test_config: TestConfig = field(default_factory=TestConfig)
 
-
-def _set_for_cell(
-    cfg: SweepConfig | LambdaSweepConfig, u: Fraction, x: Fraction, idx: int
-) -> TaskSet:
-    seed = cell_seed(cfg.master_seed, u, x, idx)
-    return synthesize(GenSpec(
-        n=cfg.n, u_total=u, seed=seed, period_range=cfg.period_range,
-        deadline_factor=x, suspension_factor_range=cfg.suspension_factor_range,
-    ))
+    def __post_init__(self) -> None:
+        labels = [p.label for p in self.policies]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"repeated policy label in {labels}")
 
 
-def _sweep_cell(args: tuple[SweepConfig, Fraction, Fraction]) -> list[dict]:
-    cfg, u, x = args
-    counts = {p.label: 0 for p in cfg.policies}
-    for idx in range(cfg.sets_per_point):
-        ts = _set_for_cell(cfg, u, x, idx)
-        for p in cfg.policies:
-            if p.run(ts, cfg.test_config).verdict:
-                counts[p.label] += 1
-    return [
-        {
-            "deadline_factor": float(x),
-            "utilization": float(u),
-            "policy": label,
-            "accepted": counts[label],
-            "total": cfg.sets_per_point,
-            "ratio": counts[label] / cfg.sets_per_point,
-        }
-        for label in counts
-    ]
+def _count_cell(
+    sets: int, choices: tuple[tuple[PriorityPolicy, str], ...], config: TestConfig,
+    corpus: _Corpus,
+) -> list[int]:
+    """Sets of one sweep cell accepted by each (policy, test) choice, by
+    position, then by any of them."""
+    counts = [0] * (len(choices) + 1)
+    for idx in range(sets):
+        ts = corpus.draw(idx)[3]
+        verdicts = [run_test(test, ts, derive_priority_points(ts, policy), config).verdict
+                    for policy, test in choices]
+        counts = [c + v for c, v in zip(counts, (*verdicts, any(verdicts)))]
+    return counts
+
+
+def _sweep(
+    cfg: SweepConfig | LambdaSweepConfig, choices: tuple[tuple[PriorityPolicy, str], ...],
+    labels: list[dict], workers: int | None,
+) -> list[dict]:
+    """One row per (deadline factor, utilization) cell and label: the
+    labels name the choices' counts in order, then the any-choice count."""
+    coords = [(x, u) for x in cfg.deadline_factors for u in cfg.utilizations]
+    cells = [_Corpus(cfg.master_seed, cfg.n, cfg.period_range, (u,), (x,),
+                     cfg.suspension_factor_range) for x, u in coords]
+    if workers is None:
+        workers = _gate(len(cells) * cfg.sets_per_point * len(choices) * cfg.n * _ANALYSIS_JOBS)
+    counted = parallel_map(
+        partial(_count_cell, cfg.sets_per_point, choices, cfg.test_config), cells, workers)
+    total = cfg.sets_per_point
+    return [{"deadline_factor": float(x), "utilization": float(u), **label,
+             "accepted": c, "total": total, "ratio": c / total}
+            for (x, u), counts in zip(coords, counted) for label, c in zip(labels, counts)]
 
 
 def acceptance_sweep(cfg: SweepConfig, workers: int | None = None) -> list[dict]:
     """Acceptance ratio of every configured policy on shared task sets,
     one row per (deadline factor, utilization, policy)."""
-    cells = [(cfg, u, x) for x in cfg.deadline_factors for u in cfg.utilizations]
-    rows: list[dict] = []
-    for cell_rows in parallel_map(_sweep_cell, cells, workers):
-        rows.extend(cell_rows)
-    return rows
+    choices = tuple((p.policy, p.test) for p in cfg.policies)
+    return _sweep(cfg, choices, [{"policy": p.label} for p in cfg.policies], workers)
 
 
 @dataclass(frozen=True)
@@ -196,44 +262,8 @@ class LambdaSweepConfig:
         # weights are swept under a window test, never the baseline
         if self.test not in TESTS or self.test == "baseline":
             raise ValueError(f"unknown window test kind {self.test!r}")
-
-
-def _lambda_cell(args: tuple[LambdaSweepConfig, Fraction, Fraction]) -> list[dict]:
-    cfg, u, x = args
-    counts = {w: 0 for w in cfg.weights}
-    best = 0
-    for idx in range(cfg.sets_per_point):
-        ts = _set_for_cell(cfg, u, x, idx)
-        hit = False
-        for w in cfg.weights:
-            pts = derive_priority_points(ts, PriorityPolicy(cfg.family, Fraction(w)))
-            if run_test(cfg.test, ts, pts, cfg.test_config).verdict:
-                counts[w] += 1
-                hit = True
-        if hit:
-            best += 1
-    rows = [
-        {
-            "deadline_factor": float(x),
-            "utilization": float(u),
-            "family": cfg.family,
-            "weight": str(w),
-            "accepted": counts[w],
-            "total": cfg.sets_per_point,
-            "ratio": counts[w] / cfg.sets_per_point,
-        }
-        for w in cfg.weights
-    ]
-    rows.append({
-        "deadline_factor": float(x),
-        "utilization": float(u),
-        "family": cfg.family,
-        "weight": "best",
-        "accepted": best,
-        "total": cfg.sets_per_point,
-        "ratio": best / cfg.sets_per_point,
-    })
-    return rows
+        if len(set(self.weights)) != len(self.weights):
+            raise ValueError(f"repeated weight in {list(self.weights)}")
 
 
 def lambda_sweep(cfg: LambdaSweepConfig, workers: int | None = None) -> list[dict]:
@@ -243,11 +273,9 @@ def lambda_sweep(cfg: LambdaSweepConfig, workers: int | None = None) -> list[dic
             "guaranteed to dominate the plain deadline policy",
             stacklevel=2,
         )
-    cells = [(cfg, u, x) for x in cfg.deadline_factors for u in cfg.utilizations]
-    rows: list[dict] = []
-    for cell_rows in parallel_map(_lambda_cell, cells, workers):
-        rows.extend(cell_rows)
-    return rows
+    choices = tuple((PriorityPolicy(cfg.family, Fraction(w)), cfg.test) for w in cfg.weights)
+    labels = [{"family": cfg.family, "weight": str(w)} for w in (*cfg.weights, "best")]
+    return _sweep(cfg, choices, labels, workers)
 
 
 def runtime_benchmark(
@@ -263,13 +291,11 @@ def runtime_benchmark(
     cfg = config or TestConfig()
     rows = []
     for n in ns:
+        corpus = _Corpus(master_seed, n, period_range, tuple(utilizations))
         times = []
         for u in utilizations:
             for idx in range(sets_per_cell):
-                seed = cell_seed(master_seed, u, n, idx)
-                ts = synthesize(GenSpec(
-                    n=n, u_total=u, seed=seed, period_range=period_range,
-                ))
+                ts = corpus.taskset(u, Fraction(1), cell_seed(master_seed, u, n, idx))
                 pts = derive_priority_points(ts, PriorityPolicy.edf())
                 t0 = time.perf_counter()
                 test_fixed(ts, pts, cfg)
@@ -307,24 +333,17 @@ class SoundnessReport:
         return sum(1 for o in self.outcomes if o.fixed or o.extended)
 
 
-# Soundness campaigns estimated to simulate fewer jobs than this stay on
-# the plain loop.  On a 2-core machine a 2-worker pool took 10-20 ms to
-# start and broke even near 25,000 estimated jobs; the margin keeps small
-# campaigns from ever paying for it.
-_POOL_MIN_JOBS = 50_000
+# The job models of randomized simulations in verify campaigns.
+_FUZZ = dict(release_model="sporadic-jittered", suspension_model="random-phases",
+             demand_model="random")
 
 
 def _soundness_set(
-    args: tuple[int, Fraction, int, int, int, tuple[float, float], int, TestConfig],
+    corpus: _Corpus, sims_per_set: int, horizon_factor: int, cfg: TestConfig, idx: int,
 ) -> tuple[SetOutcome, int, list[dict]]:
     """One set of a soundness campaign: its three verdicts, then, if a
     window test accepts it, its simulations."""
-    idx, u, master_seed, sims_per_set, n, period_range, horizon_factor, cfg = args
-    x = Fraction(1)
-    seed = cell_seed(master_seed, u, x, idx)
-    ts = synthesize(GenSpec(
-        n=n, u_total=u, seed=seed, period_range=period_range, deadline_factor=x,
-    ))
+    seed, u, x, ts = corpus.draw(idx)
     pts = derive_priority_points(ts, PriorityPolicy.edf())
     rf = test_fixed(ts, pts, cfg)
     re = test_variable(ts, pts, cfg)
@@ -333,20 +352,12 @@ def _soundness_set(
     if not (rf.verdict or re.verdict):
         return outcome, 0, []
     horizon = horizon_factor * max(t.period for t in ts)
-    violations = []
-    for s in range(sims_per_set):
-        sim_seed = cell_seed(master_seed, "sim", idx, s)
-        if not random_run_feasible(
-            ts, pts, horizon, sim_seed,
-            release_model="sporadic-jittered",
-            suspension_model="random-phases",
-            demand_model="random",
-        ):
-            violations.append({
-                "set_seed": seed, "sim_seed": sim_seed,
-                "u": str(u), "set_index": idx, "sim_index": s,
-            })
-    return outcome, sims_per_set, violations
+    sim_seeds = [cell_seed(corpus.master_seed, "sim", idx, s) for s in range(sims_per_set)]
+    return outcome, sims_per_set, [
+        {"set_seed": seed, "sim_seed": sim_seed, "u": str(u), "set_index": idx, "sim_index": s}
+        for s, sim_seed in enumerate(sim_seeds)
+        if not random_run_feasible(ts, pts, horizon, sim_seed, **_FUZZ)
+    ]
 
 
 def verify_soundness(
@@ -363,29 +374,19 @@ def verify_soundness(
     period sets: whenever either test accepts a set (deadline policy),
     every random simulation must be deadline-miss free.  Suspension-
     oblivious verdicts are recorded alongside for dominance checks.
-
-    Sets run through `parallel_map` when the campaign is large enough to
-    repay starting the pool; the report is the same at any worker count.
     """
-    cfg = config or TestConfig()
-    grid = list(u_grid) if u_grid is not None else list(utilization_grid(10, 95, 5))
-    items = [
-        (idx, grid[idx % len(grid)], master_seed, sims_per_set, n,
-         period_range, horizon_factor, cfg)
-        for idx in range(sets)
-    ]
-    # a simulation sees about horizon_factor jobs per task or more, and a
-    # set's analyses cost about as much as one simulation
-    est_jobs = sets * (sims_per_set + 1) * n * horizon_factor
-    workers = None if est_jobs >= _POOL_MIN_JOBS else 1
-    outcomes: list[SetOutcome] = []
-    violations: list[dict] = []
-    sims_run = 0
-    for outcome, sims, misses in parallel_map(_soundness_set, items, workers):
-        outcomes.append(outcome)
-        sims_run += sims
-        violations.extend(misses)
-    return SoundnessReport(tuple(outcomes), sims_run, tuple(violations))
+    grid = utilization_grid(10, 95, 5) if u_grid is None else u_grid
+    corpus = _Corpus(master_seed, n, period_range, grid)
+    # a simulation sees about horizon_factor jobs per task or more
+    results = parallel_map(
+        partial(_soundness_set, corpus, sims_per_set, horizon_factor, config or TestConfig()),
+        range(sets), _gate(sets * (sims_per_set + 1) * n * horizon_factor),
+    )
+    return SoundnessReport(
+        tuple(o for o, _, _ in results),
+        sum(sims for _, sims, _ in results),
+        tuple(v for _, _, misses in results for v in misses),
+    )
 
 
 @dataclass(frozen=True)
@@ -394,6 +395,27 @@ class EquivalenceReport:
     accepted: int
     sequences: int
     mismatches: tuple[dict, ...]
+
+
+def _fp_attempt(
+    corpus: _Corpus, seqs_per_set: int, horizon_factor: int, cfg: TestConfig, attempt: int,
+) -> list[dict] | None:
+    """One attempt of an equivalence campaign: None unless test_tfp
+    certifies its set, else the sequences whose two traces differ."""
+    u = corpus.u_grid[attempt % len(corpus.u_grid)]
+    seed = cell_seed(corpus.master_seed, "fp", u, attempt)
+    ts = corpus.taskset(u, Fraction(1), seed)
+    if not test_tfp(ts, cfg).verdict:
+        return None
+    pts = derive_priority_points(ts, PriorityPolicy.tfp())
+    horizon = horizon_factor * max(t.period for t in ts)
+    mismatches = []
+    for s in range(seqs_per_set):
+        sim_seed = cell_seed(corpus.master_seed, "fpsim", seed, s)
+        seq = generate_job_sequence(ts, horizon, sim_seed, **_FUZZ)
+        if simulate_el(ts, pts, seq) != simulate_tfp(ts, seq):
+            mismatches.append({"set_seed": seed, "sim_seed": sim_seed})
+    return mismatches
 
 
 def verify_fp_equivalence(
@@ -409,43 +431,37 @@ def verify_fp_equivalence(
     """On sets certified under emulated fixed priorities, the priority-
     point schedule and the strict fixed-priority schedule must coincide
     trace for trace."""
-    cfg = config or TestConfig()
-    grid = list(u_grid) if u_grid is not None else list(utilization_grid(10, 60, 5))
-    attempts = 0
+    grid = utilization_grid(10, 60, 5) if u_grid is None else u_grid
+    corpus = _Corpus(master_seed, n, period_range, grid)
     accepted = 0
-    sequences = 0
-    mismatches: list[dict] = []
-    max_attempts = max(200, target_accepted * 50)
-    while accepted < target_accepted and attempts < max_attempts:
-        u = grid[attempts % len(grid)]
-        seed = cell_seed(master_seed, "fp", u, attempts)
-        ts = synthesize(GenSpec(
-            n=n, u_total=u, seed=seed, period_range=period_range,
-        ))
-        attempts += 1
-        if not test_tfp(ts, cfg).verdict:
-            continue
-        accepted += 1
-        pts = derive_priority_points(ts, PriorityPolicy.tfp())
-        horizon = horizon_factor * max(t.period for t in ts)
-        for s in range(seqs_per_set):
-            sim_seed = cell_seed(master_seed, "fpsim", seed, s)
-            seq = generate_job_sequence(
-                ts, horizon, sim_seed,
-                release_model="sporadic-jittered",
-                suspension_model="random-phases",
-                demand_model="random",
-            )
-            sequences += 1
-            if simulate_el(ts, pts, seq) != simulate_tfp(ts, seq):
-                mismatches.append({"set_seed": seed, "sim_seed": sim_seed})
-    return EquivalenceReport(attempts, accepted, sequences, tuple(mismatches))
+
+    def enough(mismatches: list[dict] | None) -> bool:
+        nonlocal accepted
+        accepted += mismatches is not None
+        return accepted >= target_accepted
+
+    attempts = range(max(200, target_accepted * 50) if target_accepted > 0 else 0)
+    results = parallel_map(
+        partial(_fp_attempt, corpus, seqs_per_set, horizon_factor, config or TestConfig()),
+        attempts, _gate(target_accepted * (seqs_per_set + 1) * n * horizon_factor), enough,
+    )
+    return EquivalenceReport(len(results), accepted, accepted * seqs_per_set,
+                             tuple(m for r in results for m in r or ()))
 
 
 @dataclass(frozen=True)
 class AgreementReport:
     sets: int
     mismatches: tuple[dict, ...]
+
+
+def _window_pair(
+    corpus: _Corpus, cfg: TestConfig, idx: int,
+) -> tuple[int, Fraction, Fraction, TaskSet, AnalysisResult, AnalysisResult]:
+    """Set idx with its fixed- and variable-window results under EDF."""
+    seed, u, x, ts = corpus.draw(idx)
+    pts = derive_priority_points(ts, PriorityPolicy.edf())
+    return seed, u, x, ts, test_fixed(ts, pts, cfg), test_variable(ts, pts, cfg)
 
 
 def verify_fixed_vs_extended(
@@ -458,21 +474,15 @@ def verify_fixed_vs_extended(
 ) -> AgreementReport:
     """With deadlines equal to periods the two window tests must agree
     exactly: same verdicts, same response-time bounds."""
-    cfg = config or TestConfig()
-    grid = list(u_grid) if u_grid is not None else list(utilization_grid(10, 95, 5))
-    mismatches: list[dict] = []
-    for idx in range(sets):
-        u = grid[idx % len(grid)]
-        seed = cell_seed(master_seed, u, Fraction(1), idx)
-        ts = synthesize(GenSpec(
-            n=n, u_total=u, seed=seed, period_range=period_range, deadline_factor=Fraction(1),
-        ))
-        pts = derive_priority_points(ts, PriorityPolicy.edf())
-        rf = test_fixed(ts, pts, cfg)
-        re = test_variable(ts, pts, cfg)
-        if rf.verdict != re.verdict or rf.bounds != re.bounds:
-            mismatches.append({"seed": seed, "u": str(u), "set_index": idx})
-    return AgreementReport(sets, tuple(mismatches))
+    grid = utilization_grid(10, 95, 5) if u_grid is None else u_grid
+    results = parallel_map(partial(_window_pair, _Corpus(master_seed, n, period_range, grid),
+                                   config or TestConfig()),
+                           range(sets), _gate(sets * n * 2 * _ANALYSIS_JOBS))
+    return AgreementReport(sets, tuple(
+        {"seed": seed, "u": str(u), "set_index": idx}
+        for idx, (seed, u, _, _, rf, re) in enumerate(results)
+        if rf.verdict != re.verdict or rf.bounds != re.bounds
+    ))
 
 
 @dataclass(frozen=True)
@@ -510,32 +520,19 @@ def find_non_dominance_pair(
     certifies, and a set only the extended window certifies.  Neither
     test dominates the other; this finds concrete evidence.
     """
-    cfg = config or TestConfig()
-    grid = list(u_grid) if u_grid is not None else list(utilization_grid(55, 95, 5))
-    factors = [Fraction(x) for x in deadline_factors]
-    fixed_only: DisagreementWitness | None = None
-    extended_only: DisagreementWitness | None = None
-    checked = 0
-    for idx in range(budget):
-        if fixed_only is not None and extended_only is not None:
-            break
-        u = grid[idx % len(grid)]
-        x = factors[(idx // len(grid)) % len(factors)]
-        seed = cell_seed(master_seed, u, x, idx)
-        ts = synthesize(GenSpec(
-            n=n, u_total=u, seed=seed, period_range=period_range, deadline_factor=x,
-        ))
-        pts = derive_priority_points(ts, PriorityPolicy.edf())
-        rf = test_fixed(ts, pts, cfg)
-        re = test_variable(ts, pts, cfg)
-        checked += 1
-        if rf.verdict != re.verdict:
-            wit = DisagreementWitness(seed, u, x, ts, rf, re)
-            if rf.verdict and fixed_only is None:
-                fixed_only = wit
-            elif re.verdict and extended_only is None:
-                extended_only = wit
-    return DisagreementSearch(checked, fixed_only, extended_only)
+    grid = utilization_grid(55, 95, 5) if u_grid is None else u_grid
+    corpus = _Corpus(master_seed, n, period_range, grid, tuple(map(Fraction, deadline_factors)))
+    # the first witness of each direction, keyed by the fixed verdict
+    witnesses: dict[bool, DisagreementWitness] = {}
+
+    def both_found(r: tuple) -> bool:
+        if r[4].verdict != r[5].verdict:
+            witnesses.setdefault(r[4].verdict, DisagreementWitness(*r))
+        return len(witnesses) == 2
+
+    checked = parallel_map(partial(_window_pair, corpus, config or TestConfig()),
+                           range(budget), _gate(budget * n * 2 * _ANALYSIS_JOBS), both_found)
+    return DisagreementSearch(len(checked), witnesses.get(True), witnesses.get(False))
 
 
 # --- CSV output -----------------------------------------------------------------

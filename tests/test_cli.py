@@ -266,6 +266,38 @@ def test_sweep_non_rational_config_value_exits_two(tmp_path, capsys, config):
     assert "error: not a rational number: 'w'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("sweep", [{"n": 4}], "a sweep config must be a JSON object"),
+    ("lambda-sweep", [], "a sweep config must be a JSON object"),
+    ("sweep", {"policies": ["edf"]}, "a policy entry must be an object"),
+    ("sweep", {"policies": {"policy": "edf"}}, "policies must be a list"),
+    ("sweep", {"sets_per_point": 0}, "sets_per_point must be an integer >= 1, got 0"),
+    ("lambda-sweep", {"sets_per_point": -1}, "sets_per_point must be an integer >= 1"),
+    ("sweep", {"period_range": 5}, "period_range must be a list, got 5"),
+    ("sweep", {"period_range": [1, "a"]}, "period_range needs two numbers"),
+    ("sweep", {"deadline_factors": 2}, "deadline_factors must be a list, got 2"),
+    ("sweep", {"utilizations": 0.5}, "utilizations must be a list"),
+    ("lambda-sweep", {"n": None}, "n must be an integer >= 1, got None"),
+    ("sweep", {"depth": None}, "depth must be an integer, got None"),
+    ("lambda-sweep", {"weights": [0.5]}, "weight must be an integer, got 0.5"),
+    ("lambda-sweep", {"weights": []}, "weights must not be empty"),
+    ("sweep", {"policies": [{"policy": "edf"}, {"policy": "edf", "test": "variable"}]},
+     "repeated policy label in ['edf', 'edf']"),
+    ("lambda-sweep", {"weights": [1, 1]}, "repeated weight in [1, 1]"),
+], ids=["array", "lambda-array", "policy-string", "policies-object", "sets-zero",
+        "sets-negative", "period-number", "period-text", "factors-number",
+        "utilizations-number", "n-null", "depth-null", "weight-fraction", "weights-empty",
+        "label-repeated", "weight-repeated"])
+def test_sweep_malformed_config_exits_two(tmp_path, capsys, command, config, message):
+    if isinstance(config, dict):
+        config = {"utilizations": ["0.5"], "sets_per_point": 1, "n": 3, **config}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "-o", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_sweep_dm_policy_matches_tfp_on_synthesized_sets(tmp_path, capsys):
     # synthesized sets are deadline-sorted, so deadline-monotonic points
     # are the list-order (tfp) points
@@ -281,7 +313,7 @@ def test_sweep_dm_policy_matches_tfp_on_synthesized_sets(tmp_path, capsys):
             "deadline_factors": ["1", "1.5"],
             "sets_per_point": 4,
             "n": 6,
-            "policies": [{"policy": policy, "label": "fp", "test": test}
+            "policies": [{"policy": policy, "label": f"fp-{test}", "test": test}
                          for test in ("fixed", "variable")],
         }))
         assert main(["sweep", "--config", str(cfg), "-o", str(outdir)]) == 0
@@ -300,16 +332,31 @@ def test_verify_soundness_smoke(capsys):
     assert "0 deadline misses" in out
 
 
-def test_verify_soundness_output_independent_of_workers(capsys, monkeypatch):
-    argv = ["verify", "soundness", "--budget", "12", "--seed", "5"]
+@pytest.mark.parametrize("argv, summary", [
+    (["soundness", "--budget", "12", "--seed", "5"], "12 sets, 8 accepted, 160 simulations"),
+    (["tfp-equivalence", "--budget", "20", "--seed", "1"], "2 certified sets of 2 tried"),
+    (["fixed-vs-variable", "--budget", "20", "--seed", "7"], "20 deadline-equals-period sets"),
+    (["non-dominance", "--budget", "150", "--seed", "0"], "checked 101 sets"),
+], ids=["soundness", "tfp-equivalence", "fixed-vs-variable", "non-dominance"])
+def test_verify_output_independent_of_workers(capsys, monkeypatch, argv, summary):
     monkeypatch.setenv("EL_SCHED_THREADS", "1")
-    assert main(argv) == 0
+    code = main(["verify", *argv])
     serial = capsys.readouterr().out
     monkeypatch.setenv("EL_SCHED_THREADS", "2")
     monkeypatch.setattr(experiments, "_POOL_MIN_JOBS", 0)  # force the pool
-    assert main(argv) == 0
+    assert main(["verify", *argv]) == code == 0
     assert capsys.readouterr().out == serial
-    assert serial.startswith("12 sets, 8 accepted, 160 simulations")
+    assert serial.startswith(summary)
+
+
+@pytest.mark.parametrize("campaign", ["soundness", "tfp-equivalence",
+                                      "fixed-vs-variable", "non-dominance"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_verify_budget_below_one_exits_two(capsys, campaign, budget):
+    assert main(["verify", campaign, "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert "error: --budget must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_fixed_vs_variable_smoke(capsys):

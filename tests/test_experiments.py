@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import os
 from fractions import Fraction
 
@@ -95,6 +96,9 @@ def test_parallel_map_serial_and_pooled():
     assert parallel_map(_square, items, workers=1) == expected
     assert parallel_map(_square, items, workers=2) == expected
     assert parallel_map(_square, [], workers=4) == []
+    # an early stop keeps the results up to the first one `until` accepts
+    for workers in (1, 2):
+        assert parallel_map(_square, items, workers, until=lambda r: r > 50) == expected[:9]
 
 
 # --- acceptance sweep --------------------------------------------------------------
@@ -142,6 +146,13 @@ def test_policy_choice_validates_test_kind():
         PolicyChoice("x", PriorityPolicy.edf(), "nope")
 
 
+def test_sweep_config_rejects_repeated_label():
+    # two choices under one label would be summed into one row
+    edf = PriorityPolicy.edf()
+    with pytest.raises(ValueError, match="repeated policy label"):
+        SweepConfig(policies=(PolicyChoice("edf", edf), PolicyChoice("edf", edf, "variable")))
+
+
 # --- weight sweep ------------------------------------------------------------------
 
 
@@ -180,6 +191,8 @@ def test_lambda_sweep_config_validation():
         _small_lambda(family="edf")
     with pytest.raises(ValueError):
         LambdaSweepConfig(test="baseline")
+    with pytest.raises(ValueError, match="repeated weight"):
+        LambdaSweepConfig(weights=(0, 1, 1))
 
 
 # --- runtime benchmark ---------------------------------------------------------------
@@ -238,10 +251,69 @@ def test_verify_soundness_smoke():
     assert rep.sims_run == rep.accepted * 3
 
 
-def test_verify_soundness_same_report_at_any_worker_count(monkeypatch):
-    kw = dict(sets=12, master_seed=5, sims_per_set=3, n=4, horizon_factor=5)
+# Small corpora of every campaign, each below the pool gate: deadlines
+# beyond the period for the sweeps, and both ends of the early-stopping
+# campaigns (stopped by their target, and out of budget).
+CAMPAIGNS = {
+    "soundness": lambda: verify_soundness(
+        sets=12, master_seed=5, sims_per_set=3, n=4, horizon_factor=5),
+    "fp-equivalence": lambda: verify_fp_equivalence(
+        target_accepted=5, master_seed=1, seqs_per_set=2, n=4),
+    "fp-equivalence-exhausted": lambda: verify_fp_equivalence(
+        target_accepted=4, master_seed=3, seqs_per_set=1, n=2,
+        u_grid=(Fraction(99, 100),), horizon_factor=2),
+    "fixed-vs-extended": lambda: verify_fixed_vs_extended(sets=30, master_seed=2, n=5),
+    "non-dominance": lambda: find_non_dominance_pair(budget=150, master_seed=0),
+    "non-dominance-exhausted": lambda: find_non_dominance_pair(budget=7, master_seed=3),
+    "sweep": lambda: acceptance_sweep(SweepConfig(
+        master_seed=11, utilizations=(Fraction(1, 2), Fraction(7, 10)),
+        sets_per_point=4, n=5, deadline_factors=(Fraction(3, 2),),
+        policies=(PolicyChoice("edf", PriorityPolicy.edf()),
+                  PolicyChoice("edf-variable", PriorityPolicy.edf(), "variable"),
+                  PolicyChoice("susp-obl", PriorityPolicy.edf(), "baseline")))),
+    "lambda-sweep": lambda: lambda_sweep(LambdaSweepConfig(
+        family="saedf", master_seed=13, utilizations=(Fraction(1, 2), Fraction(7, 10)),
+        weights=(-1, 0, 1), sets_per_point=4, n=5,
+        deadline_factors=(Fraction(3, 2),), test="variable")),
+}
+
+# sha256 of repr(report), recorded before the campaigns shared one loop
+CAMPAIGN_DIGESTS = {
+    "soundness":
+        "759f2258e103b1b9d532a3bb2cd646ba60cc75ef58dd0ec4cabd9885aaed730e",
+    "fp-equivalence":
+        "32b2844a5d7942b48c62369fe1d2b01193ca2781362a1795e0d7dc3ee190e55b",
+    "fp-equivalence-exhausted":
+        "c73e21d69796b002a90c8da67d23fb601462ea0f9222a3a5948fed4e83cf973e",
+    "fixed-vs-extended":
+        "ee1f38edebf64647a92465d559023f50bdb63007fb241cf621f0193e27ae37a6",
+    "non-dominance":
+        "5b70803500f39728cf4375c54993a912f497b8c26740b448373c9da33d6e5a22",
+    "non-dominance-exhausted":
+        "5843c6cc615df8f4444b3e308348f5002336123521d589c8818bc90a23a1f8f9",
+    "sweep":
+        "4809ca8839195155200f3de495924ddc505ae656b92c2e53d1a1a5e3863dd8c7",
+    "lambda-sweep":
+        "51d2e1892bb3523ec1ac2a83f4e3c731225afb5fc1d1677c87189756b9888242",
+}
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(repr(report).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_campaign_reports_are_pinned(monkeypatch, threads):
+    monkeypatch.setenv("EL_SCHED_THREADS", threads)
+    monkeypatch.setattr(experiments, "_POOL_MIN_JOBS", 0)  # force the pool
+    digests = {name: _digest(run()) for name, run in CAMPAIGNS.items()}
+    assert digests == CAMPAIGN_DIGESTS
+
+
+@pytest.mark.parametrize("name", CAMPAIGNS)
+def test_every_campaign_same_report_at_any_worker_count(monkeypatch, name):
     monkeypatch.setenv("EL_SCHED_THREADS", "1")
-    serial = verify_soundness(**kw)
+    serial = CAMPAIGNS[name]()
 
     pools: list[int] = []
 
@@ -254,20 +326,33 @@ def test_verify_soundness_same_report_at_any_worker_count(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
     # a corpus this small stays serial unless the pool is forced
     monkeypatch.setattr(experiments, "_POOL_MIN_JOBS", 0)
-    pooled = verify_soundness(**kw)
+    pooled = CAMPAIGNS[name]()
     assert pools == [2]
-    assert pooled == serial  # outcomes in order, sims_run, violations
-    assert pooled.sims_run == serial.accepted * 3
+    assert pooled == serial  # results in order, counts, early stops
+    assert _digest(pooled) == CAMPAIGN_DIGESTS[name]
 
 
-def test_small_soundness_campaign_starts_no_pool(monkeypatch):
+@pytest.mark.parametrize("name", CAMPAIGNS)
+def test_small_campaign_starts_no_pool(monkeypatch, name):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setenv("EL_SCHED_THREADS", "2")
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
-    rep = verify_soundness(sets=12, master_seed=5, sims_per_set=3, n=4, horizon_factor=5)
-    assert rep.accepted == 8
+    assert _digest(CAMPAIGNS[name]()) == CAMPAIGN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("campaign", [
+    lambda: verify_soundness(sets=1, u_grid=()),
+    lambda: verify_fp_equivalence(target_accepted=1, u_grid=[]),
+    lambda: verify_fixed_vs_extended(sets=1, u_grid=()),
+    lambda: find_non_dominance_pair(budget=1, u_grid=()),
+    lambda: find_non_dominance_pair(budget=1, deadline_factors=()),
+], ids=["soundness", "fp-equivalence", "fixed-vs-extended", "non-dominance-u",
+        "non-dominance-x"])
+def test_campaign_rejects_empty_grid(campaign):
+    with pytest.raises(ValueError, match="needs a utilization and a deadline factor"):
+        campaign()
 
 
 def test_verify_soundness_records_all_three_verdicts():
