@@ -19,13 +19,9 @@ from .analysis import (
     AnalysisResult,
     TestConfig,
     ceil_div,
-    cross_interference,
     test_variable,
     test_tfp,
     test_fixed,
-    interference_window_cap,
-    response_bound_extended,
-    response_bound_fixed,
     result_csv_header,
     result_csv_row,
     baseline_susp_obl,
@@ -79,7 +75,6 @@ __all__ = [
     "TasksetFormatError",
     "TestConfig",
     "ceil_div",
-    "cross_interference",
     "dump_batch",
     "export_trace",
     "test_variable",
@@ -87,15 +82,12 @@ __all__ = [
     "test_fixed",
     "format_taskset_text",
     "generate_job_sequence",
-    "interference_window_cap",
     "check_feasibility",
     "load_batch",
     "load_taskset",
     "measure_state_times",
     "parse_taskset_text",
     "derive_priority_points",
-    "response_bound_extended",
-    "response_bound_fixed",
     "response_times",
     "result_csv_header",
     "result_csv_row",

@@ -36,66 +36,6 @@ def ceil_div(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def interference_window_cap(
-    k: int, i: int, ts: TaskSet, rel_points: Sequence[int]
-) -> int:
-    """Cap (signed ticks) on how late an interfering release of task i can
-    still affect a job of task k: the smaller of the deadline-window slack
-    (deadline_k - wcet_i) and the priority-point gap (point_k - point_i).
-    """
-    if i == k:
-        raise ValueError("window cap is defined for two distinct tasks")
-    return min(ts[k].deadline - ts[i].wcet, rel_points[k] - rel_points[i])
-
-
-def cross_interference(
-    k: int, i: int, rbound_i: int, offset: int, ts: TaskSet,
-    rel_points: Sequence[int],
-) -> int:
-    """Combined cross-task demand bound: release- and deadline-limited."""
-    num = interference_window_cap(k, i, ts, rel_points) + rbound_i + offset
-    return max(ceil_div(num, ts[i].period), 0) * ts[i].wcet
-
-
-def response_bound_fixed(
-    k: int, b: int, rbounds: Sequence[int], ts: TaskSet,
-    rel_points: Sequence[int],
-) -> int:
-    """Response-time bound for task k with the analysis window starting
-    b ticks after the analyzed release, 0 <= b < deadline_k.
-    """
-    t = ts[k]
-    if not 0 <= b < t.deadline:
-        raise ValueError(f"window offset {b} outside [0, {t.deadline})")
-    total = ceil_div(t.deadline - b, t.period) * (t.wcet + t.suspension) + b
-    for i in range(len(ts)):
-        if i != k:
-            total += cross_interference(k, i, rbounds[i], -b, ts, rel_points)
-    return total
-
-
-def response_bound_extended(
-    k: int, a: int, x: int, rbounds: Sequence[int], ts: TaskSet,
-    rel_points: Sequence[int],
-) -> int:
-    """Response-time bound for task k with the analysis window starting
-    a full periods plus x ticks before the analyzed deadline,
-    0 <= x < a * period_k + deadline_k.  The result is signed: the window
-    may begin before the analyzed release.
-    """
-    t = ts[k]
-    span = a * t.period
-    if a < 0 or not 0 <= x < span + t.deadline:
-        raise ValueError(f"window position (a={a}, x={x}) out of range")
-    own = min(a + 1, ceil_div(t.deadline - x + span, t.period))
-    total = own * (t.wcet + t.suspension) + x - span
-    for i in range(len(ts)):
-        if i != k:
-            cap = interference_window_cap(k, i, ts, rel_points)
-            total += max(ceil_div(cap + rbounds[i] - x + span, ts[i].period), 0) * ts[i].wcet
-    return total
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Knobs shared by the iterative tests.

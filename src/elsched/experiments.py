@@ -109,6 +109,13 @@ def cell_seed(master_seed: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _at_least(lo: int, **counts: int) -> None:
+    """Raise ValueError for the first count that is not an integer >= lo."""
+    for what, value in counts.items():
+        if not isinstance(value, int) or value < lo:
+            raise ValueError(f"{what} must be an integer >= {lo}, got {value!r}")
+
+
 def utilization_grid(lo_pct: int, hi_pct: int, step_pct: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(p, 100) for p in range(lo_pct, hi_pct + 1, step_pct))
 
@@ -188,6 +195,7 @@ class SweepConfig:
     test_config: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self) -> None:
+        _at_least(1, sets_per_point=self.sets_per_point, n=self.n)
         labels = [p.label for p in self.policies]
         if len(set(labels)) != len(labels):
             raise ValueError(f"repeated policy label in {labels}")
@@ -257,6 +265,7 @@ class LambdaSweepConfig:
     test_config: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self) -> None:
+        _at_least(1, sets_per_point=self.sets_per_point, n=self.n)
         if self.family not in ("eqdf", "saedf"):
             raise ValueError(f"unknown weighted family {self.family!r}")
         # weights are swept under a window test, never the baseline
@@ -375,6 +384,7 @@ def verify_soundness(
     every random simulation must be deadline-miss free.  Suspension-
     oblivious verdicts are recorded alongside for dominance checks.
     """
+    _at_least(0, sets=sets)
     grid = utilization_grid(10, 95, 5) if u_grid is None else u_grid
     corpus = _Corpus(master_seed, n, period_range, grid)
     # a simulation sees about horizon_factor jobs per task or more
@@ -431,6 +441,7 @@ def verify_fp_equivalence(
     """On sets certified under emulated fixed priorities, the priority-
     point schedule and the strict fixed-priority schedule must coincide
     trace for trace."""
+    _at_least(0, target_accepted=target_accepted)
     grid = utilization_grid(10, 60, 5) if u_grid is None else u_grid
     corpus = _Corpus(master_seed, n, period_range, grid)
     accepted = 0
@@ -474,6 +485,7 @@ def verify_fixed_vs_extended(
 ) -> AgreementReport:
     """With deadlines equal to periods the two window tests must agree
     exactly: same verdicts, same response-time bounds."""
+    _at_least(0, sets=sets)
     grid = utilization_grid(10, 95, 5) if u_grid is None else u_grid
     results = parallel_map(partial(_window_pair, _Corpus(master_seed, n, period_range, grid),
                                    config or TestConfig()),
@@ -520,6 +532,7 @@ def find_non_dominance_pair(
     certifies, and a set only the extended window certifies.  Neither
     test dominates the other; this finds concrete evidence.
     """
+    _at_least(0, budget=budget)
     grid = utilization_grid(55, 95, 5) if u_grid is None else u_grid
     corpus = _Corpus(master_seed, n, period_range, grid, tuple(map(Fraction, deadline_factors)))
     # the first witness of each direction, keyed by the fixed verdict

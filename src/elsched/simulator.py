@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import log
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .model import TaskSet
 
@@ -32,74 +32,67 @@ DEMAND_MODELS = ("wcet", "random")
 TRACE_HEADER = "# el-sched trace v1"
 
 
-def _steps_of(
+def _canonical(
     phases: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, int], ...]:
-    """Canonical flattened form of a phase plan: strictly positive
-    (kind, amount) steps, kind 0 executing and 1 suspending, alternating
-    and ending on execution.  Suspensions with no execution after them
-    cannot delay the finish (a job is finished once its demand is
-    executed) and are dropped.
+    """Canonical form of an (execute, suspend) phase plan: adjacent parts
+    of one kind merged, so only the first pair may execute 0 (a leading
+    suspension) and only the last pair suspends 0.  Suspensions with no
+    execution after them cannot delay the finish (a job is finished once
+    its demand is executed) and are dropped; a plan that never executes
+    becomes empty.
     """
-    steps: list[tuple[int, int]] = []
-    kind = amt = 0                 # the pending, still growing step
+    pairs: list[tuple[int, int]] = []
+    e_acc = s_acc = 0              # the pending, still growing pair
     for e, s in phases:
         if e < 0 or s < 0:
             raise ValueError(f"negative phase amount {e if e < 0 else s}")
-        if e:
-            if kind == 1:
-                steps.append((1, amt))
-                kind = amt = 0
-            amt += e
-        if s:
-            if kind == 0 and amt:
-                steps.append((0, amt))
-                amt = 0
-            kind = 1
-            amt += s
-    if kind == 0 and amt:
-        steps.append((0, amt))
-    return tuple(steps)
-
-
-def _phases_of(
-    steps: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """Pack canonical steps back into (execute, suspend) pairs; only the
-    first pair may have a zero execute part (a leading suspension)."""
-    pairs: list[tuple[int, int]] = []
-    for kind, amt in steps:
-        if kind == 0:
-            pairs.append((amt, 0))
-        elif pairs:
-            pairs[-1] = (pairs[-1][0], amt)
-        else:
-            pairs.append((0, amt))
+        if e and s_acc:
+            pairs.append((e_acc, s_acc))
+            e_acc = s_acc = 0
+        e_acc += e
+        s_acc += s
+    if e_acc:
+        pairs.append((e_acc, 0))
     return tuple(pairs)
+
+
+_T = TypeVar("_T")
+
+
+def _unchecked(cls: type[_T], **fields: object) -> _T:
+    """An instance of the frozen dataclass `cls` from fields already
+    valid and canonical: fills the instance dict in one step, with no
+    `__init__`, `__post_init__` or frozen `__setattr__` per field."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
 class JobBehavior:
     """One concrete job: which task it belongs to, its position in that
     task's release order (0-based), its release time, and its fixed
-    execute/suspend phase plan.  The plan is normalized on construction
-    (strictly positive alternating run/suspend amounts, ending on
-    execution); demand and suspension totals are derived from the
-    normalized plan.
+    (execute, suspend) phase plan.  The plan is made canonical on
+    construction (`_canonical`); demand and suspension totals are derived
+    from it.
+
+    The engine walks the plan by half-phases: half-phase h executes pair
+    h // 2 when h is even and suspends it when h is odd.  In canonical
+    form the only zero parts are a leading execute part and the last
+    pair's suspend part, so the walk skips the first and finishes at the
+    second.
     """
 
     task: int
     index: int
     release: int
     phases: tuple[tuple[int, int], ...]
-    _steps: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.task < 0 or self.index < 0 or self.release < 0:
             raise ValueError("task, index, and release must be non-negative")
-        steps = _steps_of(self.phases)
-        object.__setattr__(self, "phases", _phases_of(steps))
-        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "phases", _canonical(self.phases))
 
     @property
     def demand(self) -> int:
@@ -108,24 +101,6 @@ class JobBehavior:
     @property
     def suspension_total(self) -> int:
         return sum(s for _, s in self.phases)
-
-    def steps(self) -> tuple[tuple[int, int], ...]:
-        """Flattened (kind, amount) list; kind 0 executes, 1 suspends."""
-        return self._steps
-
-    @classmethod
-    def _from_steps(
-        cls, task: int, index: int, release: int, steps: tuple[tuple[int, int], ...]
-    ) -> JobBehavior:
-        """A job from already canonical steps and valid coordinates, as
-        the generator draws them: skips re-normalizing on construction."""
-        job = object.__new__(cls)
-        for name, value in (
-            ("task", task), ("index", index), ("release", release),
-            ("phases", _phases_of(steps)), ("_steps", steps),
-        ):
-            object.__setattr__(job, name, value)
-        return job
 
 
 @dataclass(frozen=True)
@@ -193,14 +168,6 @@ class Interval:
     task: int = -1
     job: int = -1
 
-    @classmethod
-    def _fast(cls, start: int, end: int, kind: str, task: int, job: int) -> Interval:
-        """An interval from fields the engine logged: fills the instance
-        dict at once instead of one frozen `__setattr__` per field."""
-        iv = object.__new__(cls)
-        iv.__dict__.update(start=start, end=end, kind=kind, task=task, job=job)
-        return iv
-
 
 @dataclass(frozen=True)
 class JobRecord:
@@ -216,26 +183,6 @@ class JobRecord:
     exec_spans: tuple[tuple[int, int], ...]
     susp_spans: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def _fast(
-        cls,
-        task: int,
-        index: int,
-        release: int,
-        start: int | None,
-        finish: int | None,
-        exec_spans: tuple[tuple[int, int], ...],
-        susp_spans: tuple[tuple[int, int], ...],
-    ) -> JobRecord:
-        """A record from the engine's outcome of one job, built like
-        `Interval._fast`."""
-        rec = object.__new__(cls)
-        rec.__dict__.update(
-            task=task, index=index, release=release, start=start, finish=finish,
-            exec_spans=exec_spans, susp_spans=susp_spans,
-        )
-        return rec
-
 
 @dataclass(frozen=True)
 class ScheduleTrace:
@@ -244,7 +191,7 @@ class ScheduleTrace:
     jobs: tuple[JobRecord, ...]
 
 
-# (task, index, release, canonical steps): one job as the engine reads it
+# (task, index, release, canonical phases): one job as the engine reads it
 _EngineJob = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 
@@ -266,7 +213,7 @@ def _run_engine(
     nj = len(jobs)
     job_task = [j[0] for j in jobs]
     job_rel = [j[2] for j in jobs]
-    job_steps = [j[3] for j in jobs]
+    job_plan = [j[3] for j in jobs]
 
     # Dispatch order as dense ranks, so the ready heap compares ints.
     # Keys are unique because they end in (task, index) or equivalent.
@@ -281,8 +228,8 @@ def _run_engine(
 
     ptr = [0] * n_tasks            # finished jobs per task
     begun = [False] * nj
-    sp = [0] * nj                  # next step to enter
-    rem = [0] * nj                 # ticks left in the current execution step
+    hp = [0] * nj                  # current half-phase (see JobBehavior)
+    rem = [0] * nj                 # ticks left in the current execute part
     finish: list[int | None] = [None] * nj
     if record:
         first_start: list[int | None] = [None] * nj
@@ -291,27 +238,33 @@ def _run_engine(
         intervals: list[list] = []  # [start, end, kind, task, job], merged on append
         last: list = [0, 0, "", -1, -1]  # the last row; a sentinel merges with nothing
 
-    ready: list[int] = []           # ranks of jobs in an execution step
+    ready: list[int] = []           # ranks of jobs in an execute part
     susp_ev: list[tuple[int, int]] = []
     n_susp = 0
 
-    def advance(g: int, t: int) -> None:
-        # enter the job's next step; cascades through instant finishes
+    def advance(g: int, t: int, h: int) -> None:
+        # enter half-phase h of job g: even h executes pair h // 2, odd h
+        # suspends it.  A zero part is the leading execute part, which
+        # passes on to its suspension, or the last pair's suspend part,
+        # which finishes the job; cascades through instant finishes
         nonlocal n_susp
         while True:
-            steps = job_steps[g]
-            s = sp[g]
-            if s < len(steps):
-                kind, amt = steps[s]
-                if kind == 0:
-                    rem[g] = amt
+            plan = job_plan[g]
+            p = h >> 1
+            if p < len(plan):
+                e, s = plan[p]
+                if e and not h & 1:
+                    hp[g] = h
+                    rem[g] = e
                     heappush(ready, rank[g])
-                else:
-                    heappush(susp_ev, (t + amt, g))
+                    return
+                if s:
+                    hp[g] = h | 1
+                    heappush(susp_ev, (t + s, g))
                     n_susp += 1
                     if record:
-                        susp_spans[g].append((t, min(t + amt, horizon)))
-                return
+                        susp_spans[g].append((t, min(t + s, horizon)))
+                    return
             finish[g] = t
             tid = job_task[g]
             ptr[tid] += 1
@@ -321,6 +274,7 @@ def _run_engine(
                 if not begun[nxt] and job_rel[nxt] <= t:
                     begun[nxt] = True
                     g = nxt
+                    h = 0
                     continue
             return
 
@@ -337,12 +291,11 @@ def _run_engine(
             tl = task_jobs[tid]
             if not begun[g] and ptr[tid] < len(tl) and tl[ptr[tid]] == g:
                 begun[g] = True
-                advance(g, t)
+                advance(g, t, 0)
         while susp_ev and susp_ev[0][0] == t:
             _, g = heappop(susp_ev)
             n_susp -= 1
-            sp[g] += 1
-            advance(g, t)
+            advance(g, t, hp[g] + 1)
 
         nxt = horizon
         if rp < nj and rel_times[rp] < nxt:
@@ -373,8 +326,7 @@ def _run_engine(
             t = nxt
             if rem[g] == 0:
                 heappop(ready)
-                sp[g] += 1
-                advance(g, t)
+                advance(g, t, hp[g] + 1)
         else:
             if record:
                 kind = "susp" if n_susp > 0 else "wait"
@@ -388,18 +340,21 @@ def _run_engine(
     if not record:
         return finish, None
     out_jobs = tuple(
-        JobRecord._fast(
-            task, index, release, first_start[g], finish[g],
-            tuple(exec_spans[g]), tuple(susp_spans[g]),
+        _unchecked(
+            JobRecord, task=task, index=index, release=release, start=first_start[g],
+            finish=finish[g], exec_spans=tuple(exec_spans[g]), susp_spans=tuple(susp_spans[g]),
         )
         for g, (task, index, release, _) in enumerate(jobs)
     )
-    out_intervals = tuple(Interval._fast(*iv) for iv in intervals)
+    out_intervals = tuple(
+        _unchecked(Interval, start=start, end=end, kind=kind, task=task, job=job)
+        for start, end, kind, task, job in intervals
+    )
     return finish, ScheduleTrace(horizon=horizon, intervals=out_intervals, jobs=out_jobs)
 
 
 def _engine_jobs(seq: JobSequence) -> list[_EngineJob]:
-    return [(j.task, j.index, j.release, j.steps()) for j in seq.jobs]
+    return [(j.task, j.index, j.release, j.phases) for j in seq.jobs]
 
 
 def _el_key(rel_points: Sequence[int]) -> Callable[[_EngineJob], tuple]:
@@ -500,11 +455,11 @@ def _draw_jobs(
                 while c > wcet:
                     c = getrandbits(k_demand)
             if not suspends or c == 0:
-                steps = ((0, c),) if c else ()
+                plan = ((c, 0),) if c else ()
             elif not phased:
                 # max-single-block: the whole budget after the first
                 # executed tick
-                steps = ((0, 1), (1, budget), (0, c - 1)) if c > 1 else ((0, 1),)
+                plan = ((1, budget), (c - 1, 0)) if c > 1 else ((1, 0),)
             else:
                 # up to three suspensions summing to a uniform total, at
                 # uniformly drawn execution offsets in [0, c - 1]
@@ -512,7 +467,7 @@ def _draw_jobs(
                 while n_seg > 3:
                     n_seg = getrandbits(3)
                 if n_seg == 0:
-                    steps = ((0, c),)
+                    plan = ((c, 0),)
                 else:
                     total = getrandbits(k_total)
                     while total > budget:
@@ -540,8 +495,8 @@ def _draw_jobs(
                         phases.append((off - prev_off, cut - prev_cut))
                         prev_off, prev_cut = off, cut
                     phases.append((c - prev_off, 0))
-                    steps = _steps_of(phases)
-            append((tid, pos, rel, steps))
+                    plan = _canonical(phases)
+            append((tid, pos, rel, plan))
     return jobs
 
 
@@ -566,7 +521,11 @@ def generate_job_sequence(
     """
     jobs = _draw_jobs(ts, horizon, seed, release_model, suspension_model, demand_model)
     seq = JobSequence(
-        jobs=tuple(JobBehavior._from_steps(*job) for job in jobs), horizon=horizon
+        jobs=tuple(
+            _unchecked(JobBehavior, task=task, index=index, release=release, phases=plan)
+            for task, index, release, plan in jobs
+        ),
+        horizon=horizon,
     )
     object.__setattr__(seq, "_drawn_for", ts)
     return seq

@@ -1,9 +1,10 @@
 """Tests for interference terms, window bounds, and the iterative tests.
 
-Frozen numeric values were derived by hand from the bound definitions;
-the fuzz sections re-derive everything with an independent
-rational-arithmetic implementation (math.ceil over Fraction) so the
-integer fast paths in the package are checked against a slow oracle.
+The interference terms and window bounds are test-local oracles in
+rational arithmetic (math.ceil over Fraction), pinned by frozen numeric
+values derived by hand from the bound definitions.  The fuzz sections
+re-derive the iterative tests from them, so the integer window kernel in
+the package is checked against a slow oracle.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from elsched import (
     TaskSet,
     baseline_susp_obl,
     ceil_div,
-    cross_interference,
     derive_priority_points,
-    interference_window_cap,
-    response_bound_extended,
-    response_bound_fixed,
     result_csv_header,
     result_csv_row,
     round_half_up,
@@ -37,6 +34,7 @@ from elsched import TestConfig as IterConfig  # alias: keep pytest collection aw
 from elsched import test_fixed as fixed_test
 from elsched import test_tfp as tfp_test
 from elsched import test_variable as variable_test
+from elsched.analysis import _caps
 
 WORKED = TaskSet((Task(1, 0, 5, 5), Task(2, 1, 16, 16)))
 REF = TaskSet((Task(2, 0, 5, 5), Task(7, 3, 16, 16)))
@@ -73,9 +71,21 @@ def test_ceil_div_matches_rational_oracle():
 # --- interference window cap -----------------------------------------------------
 
 
+def interference_window_cap(k, i, ts, rel_points):
+    """Cap (signed ticks) on how late an interfering release of task i can
+    still affect a job of task k: the smaller of the deadline-window slack
+    (deadline_k - wcet_i) and the priority-point gap (point_k - point_i)."""
+    if i == k:
+        raise ValueError("window cap is defined for two distinct tasks")
+    return min(ts[k].deadline - ts[i].wcet, rel_points[k] - rel_points[i])
+
+
 def test_window_cap_hand_values():
     assert interference_window_cap(1, 0, REF, REF_POINTS) == 6
     assert interference_window_cap(0, 1, REF, REF_POINTS) == -6
+    # the kernel's own cap matrix holds the same values
+    caps = _caps([t.wcet for t in REF], [t.deadline for t in REF], REF_POINTS)
+    assert (caps[1][0], caps[0][1]) == (6, -6)
 
 
 def test_window_cap_zero_when_both_arguments_zero():
@@ -127,8 +137,8 @@ def test_same_task_interference_counts_earlier_jobs():
 def cross_interference_release(k, i, rbound_i, offset, ts, rel_points):
     """Demand from task i whose jobs win against a job of task k by
     release order of priority points; `offset` is the window start minus
-    the analyzed release.  The package combines it with the deadline form
-    below into cross_interference."""
+    the analyzed release.  The kernel combines it with the deadline form
+    below, as cross_interference does."""
     if i == k:
         raise ValueError("cross-task interference needs two distinct tasks")
     num = rel_points[k] - rel_points[i] + rbound_i + offset
@@ -142,6 +152,13 @@ def cross_interference_deadline(k, i, rbound_i, offset, ts):
         raise ValueError("cross-task interference needs two distinct tasks")
     num = ts[k].deadline - ts[i].wcet + offset + rbound_i
     return max(ceil_div(num, ts[i].period) * ts[i].wcet, 0)
+
+
+def cross_interference(k, i, rbound_i, offset, ts, rel_points):
+    """Combined cross-task demand bound, release- and deadline-limited:
+    the term the kernel adds per interferer."""
+    num = interference_window_cap(k, i, ts, rel_points) + rbound_i + offset
+    return max(ceil_div(num, ts[i].period), 0) * ts[i].wcet
 
 
 def test_cross_release_hand_values():
@@ -201,27 +218,10 @@ def test_combined_cross_term_never_exceeds_either_form():
 # --- fixed-window response bound --------------------------------------------------
 
 
-def test_response_bound_fixed_single_task():
-    ts = TaskSet((Task(1, 0, 2, 2),))
-    assert response_bound_fixed(0, 0, (2,), ts, (2,)) == 1
-
-
-def test_response_bound_fixed_worked_values():
-    pts = (5, 16)
-    assert response_bound_fixed(1, 0, (5, 16), WORKED, pts) == 7
-    # Uses the refined peer bound; the negative-ceiling term clamps to 0.
-    assert response_bound_fixed(0, 0, (5, 7), WORKED, pts) == 1
-
-
-def test_response_bound_fixed_rejects_bad_offset():
-    with pytest.raises(ValueError):
-        response_bound_fixed(0, -1, (5, 16), WORKED, (5, 16))
-    with pytest.raises(ValueError):
-        response_bound_fixed(0, 5, (5, 16), WORKED, (5, 16))
-
-
 def _naive_bound_fixed(k, b, rbounds, ts, pts):
-    """Independent rational-arithmetic evaluation of the fixed bound."""
+    """Rational-arithmetic evaluation of the fixed bound for task k with
+    the analysis window starting b ticks after the analyzed release,
+    0 <= b < deadline_k."""
     t_k = ts[k]
     total = math.ceil(Fraction(t_k.deadline - b, t_k.period)) * (
         t_k.wcet + t_k.suspension
@@ -235,6 +235,18 @@ def _naive_bound_fixed(k, b, rbounds, ts, pts):
     return total
 
 
+def test_response_bound_fixed_single_task():
+    ts = TaskSet((Task(1, 0, 2, 2),))
+    assert _naive_bound_fixed(0, 0, (2,), ts, (2,)) == 1
+
+
+def test_response_bound_fixed_worked_values():
+    pts = (5, 16)
+    assert _naive_bound_fixed(1, 0, (5, 16), WORKED, pts) == 7
+    # Uses the refined peer bound; the negative-ceiling term clamps to 0.
+    assert _naive_bound_fixed(0, 0, (5, 7), WORKED, pts) == 1
+
+
 def _random_small_set(rng, n_max=4, tick_max=40):
     tasks = []
     for _ in range(rng.randint(1, n_max)):
@@ -243,22 +255,6 @@ def _random_small_set(rng, n_max=4, tick_max=40):
         c = rng.randint(0, min(d, t))
         tasks.append(Task(c, rng.randint(0, 6), d, t))
     return TaskSet(tuple(tasks))
-
-
-def test_response_bound_fixed_matches_rational_oracle():
-    rng = random.Random(7_777)
-    for _ in range(400):
-        ts = _random_small_set(rng)
-        n = len(ts)
-        pts = tuple(rng.randint(-10, 60) for _ in range(n))
-        rbounds = tuple(rng.randint(0, t.deadline) for t in ts)
-        k = rng.randrange(n)
-        if ts[k].deadline == 0:
-            continue
-        b = rng.randrange(ts[k].deadline)
-        assert response_bound_fixed(k, b, rbounds, ts, pts) == _naive_bound_fixed(
-            k, b, rbounds, ts, pts
-        )
 
 
 def test_response_bound_fixed_monotone_in_peer_bounds_and_suspension():
@@ -274,38 +270,56 @@ def test_response_bound_fixed_monotone_in_peer_bounds_and_suspension():
         if ts[k].deadline == 0:
             continue
         b = rng.randrange(ts[k].deadline)
-        base = response_bound_fixed(k, b, tuple(rbounds), ts, pts)
+        base = _naive_bound_fixed(k, b, tuple(rbounds), ts, pts)
 
         i = rng.choice([j for j in range(n) if j != k])
         bumped = list(rbounds)
         bumped[i] += rng.randint(1, 10)
-        assert response_bound_fixed(k, b, tuple(bumped), ts, pts) >= base
+        assert _naive_bound_fixed(k, b, tuple(bumped), ts, pts) >= base
 
         t_k = ts[k]
         fatter = list(ts.tasks)
         fatter[k] = Task(t_k.wcet, t_k.suspension + rng.randint(1, 5), t_k.deadline, t_k.period)
-        assert response_bound_fixed(k, b, tuple(rbounds), TaskSet(tuple(fatter)), pts) >= base
+        assert _naive_bound_fixed(k, b, tuple(rbounds), TaskSet(tuple(fatter)), pts) >= base
 
 
 # --- extended-window response bound ------------------------------------------------
 
 
+def _naive_bound_extended(k, a, x, rbounds, ts, pts):
+    """Rational-arithmetic evaluation of the extended bound for task k
+    with the analysis window starting a full periods plus x ticks before
+    the analyzed deadline, 0 <= x < a * period_k + deadline_k.  The value
+    is signed: the window may begin before the analyzed release."""
+    t_k = ts[k]
+    span = a * t_k.period
+    own = min(a + 1, math.ceil(Fraction(t_k.deadline - x + span, t_k.period)))
+    total = own * (t_k.wcet + t_k.suspension) + x - span
+    for i, t_i in enumerate(ts):
+        if i == k:
+            continue
+        cap = min(t_k.deadline - t_i.wcet, pts[k] - pts[i])
+        jobs = max(math.ceil(Fraction(cap + rbounds[i] - x + span, t_i.period)), 0)
+        total += jobs * t_i.wcet
+    return total
+
+
 def test_response_bound_extended_single_task_values():
     ts = TaskSet((Task(1, 0, 3, 2),))
-    assert response_bound_extended(0, 1, 2, (3,), ts, (3,)) == 2
-    assert response_bound_extended(0, 1, 0, (3,), ts, (3,)) == 0
+    assert _naive_bound_extended(0, 1, 2, (3,), ts, (3,)) == 2
+    assert _naive_bound_extended(0, 1, 0, (3,), ts, (3,)) == 0
     # The window-position rebate can drive the bound negative; the signed
     # value must be returned, not clamped.
-    assert response_bound_extended(0, 2, 0, (3,), ts, (3,)) == -1
+    assert _naive_bound_extended(0, 2, 0, (3,), ts, (3,)) == -1
 
 
 def test_response_bound_extended_reduces_to_fixed_at_zero_depth():
     pts = (5, 16)
     for k in range(2):
         for x in range(WORKED[k].deadline):
-            assert response_bound_extended(
+            assert _naive_bound_extended(
                 k, 0, x, (5, 16), WORKED, pts
-            ) == response_bound_fixed(k, x, (5, 16), WORKED, pts)
+            ) == _naive_bound_fixed(k, x, (5, 16), WORKED, pts)
 
 
 def test_response_bound_extended_zero_depth_fuzz():
@@ -326,51 +340,9 @@ def test_response_bound_extended_zero_depth_fuzz():
         rbounds = tuple(rng.randint(0, t.deadline) for t in ts)
         k = rng.randrange(n)
         x = rng.randrange(ts[k].deadline)
-        assert response_bound_extended(
+        assert _naive_bound_extended(
             k, 0, x, rbounds, ts, pts
-        ) == response_bound_fixed(k, x, rbounds, ts, pts)
-
-
-def test_response_bound_extended_rejects_bad_arguments():
-    ts = TaskSet((Task(1, 0, 3, 2),))
-    with pytest.raises(ValueError):
-        response_bound_extended(0, -1, 0, (3,), ts, (3,))
-    with pytest.raises(ValueError):
-        response_bound_extended(0, 1, 5, (3,), ts, (3,))  # x = a*T + D
-    with pytest.raises(ValueError):
-        response_bound_extended(0, 1, -1, (3,), ts, (3,))
-
-
-def _naive_bound_extended(k, a, x, rbounds, ts, pts):
-    t_k = ts[k]
-    span = a * t_k.period
-    own = min(a + 1, math.ceil(Fraction(t_k.deadline - x + span, t_k.period)))
-    total = own * (t_k.wcet + t_k.suspension) + x - span
-    for i, t_i in enumerate(ts):
-        if i == k:
-            continue
-        cap = min(t_k.deadline - t_i.wcet, pts[k] - pts[i])
-        jobs = max(math.ceil(Fraction(cap + rbounds[i] - x + span, t_i.period)), 0)
-        total += jobs * t_i.wcet
-    return total
-
-
-def test_response_bound_extended_matches_rational_oracle():
-    rng = random.Random(90_210)
-    for _ in range(300):
-        ts = _random_small_set(rng)
-        n = len(ts)
-        pts = tuple(rng.randint(-10, 60) for _ in range(n))
-        rbounds = tuple(rng.randint(0, t.deadline) for t in ts)
-        k = rng.randrange(n)
-        a = rng.randint(0, 3)
-        limit = a * ts[k].period + ts[k].deadline
-        if limit == 0:
-            continue
-        x = rng.randrange(limit)
-        assert response_bound_extended(
-            k, a, x, rbounds, ts, pts
-        ) == _naive_bound_extended(k, a, x, rbounds, ts, pts)
+        ) == _naive_bound_fixed(k, x, rbounds, ts, pts)
 
 
 # --- configuration ----------------------------------------------------------------

@@ -153,6 +153,17 @@ def test_sweep_config_rejects_repeated_label():
         SweepConfig(policies=(PolicyChoice("edf", edf), PolicyChoice("edf", edf, "variable")))
 
 
+@pytest.mark.parametrize("config", [SweepConfig, LambdaSweepConfig])
+@pytest.mark.parametrize(
+    "size,value", [("sets_per_point", 0), ("sets_per_point", -1), ("sets_per_point", 2.5), ("n", 0)])
+def test_sweep_configs_reject_bad_sizes(config, size, value):
+    # built in Python, not only through the CLI reader: a zero set count
+    # used to divide by zero, a negative one to report negative totals
+    # and a fractional one to fail inside range()
+    with pytest.raises(ValueError, match=f"^{size} must be an integer >= 1, got {value}$"):
+        config(**{size: value})
+
+
 # --- weight sweep ------------------------------------------------------------------
 
 
@@ -353,6 +364,24 @@ def test_small_campaign_starts_no_pool(monkeypatch, name):
 def test_campaign_rejects_empty_grid(campaign):
     with pytest.raises(ValueError, match="needs a utilization and a deadline factor"):
         campaign()
+
+
+@pytest.mark.parametrize("campaign,budget", [
+    (lambda: verify_soundness(sets=-3), "sets"),
+    (lambda: verify_fixed_vs_extended(sets=-5), "sets"),
+    (lambda: find_non_dominance_pair(budget=-1), "budget"),
+    (lambda: verify_fp_equivalence(target_accepted=-2), "target_accepted"),
+], ids=["soundness", "fixed-vs-extended", "non-dominance", "fp-equivalence"])
+def test_campaign_rejects_negative_budget(campaign, budget):
+    with pytest.raises(ValueError, match=f"^{budget} must be an integer >= 0, got -"):
+        campaign()
+
+
+def test_campaign_zero_budget_reports_nothing():
+    assert verify_soundness(sets=0) == experiments.SoundnessReport((), 0, ())
+    assert verify_fixed_vs_extended(sets=0) == experiments.AgreementReport(0, ())
+    assert find_non_dominance_pair(budget=0) == experiments.DisagreementSearch(0, None, None)
+    assert verify_fp_equivalence(target_accepted=0) == experiments.EquivalenceReport(0, 0, 0, ())
 
 
 def test_verify_soundness_records_all_three_verdicts():

@@ -891,14 +891,76 @@ def test_exports_are_pinned(benchmark_scale_sets):
     assert h.hexdigest()[:16] == EXPORT_DIGEST
 
 
+def _raw_plan(rng: random.Random, wcet: int, budget: int) -> tuple[tuple[int, int], ...]:
+    """Up to five raw (execute, suspend) pairs within a wcet and a
+    suspension budget, with many zero parts: leading suspensions, plans
+    that never execute, and adjacent parts that merge."""
+    plan = []
+    e_left, s_left = wcet, budget
+    for _ in range(rng.choice((0, 1, 2, 2, 3, 3, 4, 5))):
+        e = rng.choice((0, rng.randint(0, e_left), (e_left + 1) // 2, e_left))
+        s = rng.choice((0, 0, rng.randint(0, s_left)))
+        e_left, s_left = e_left - e, s_left - s
+        plan.append((e, s))
+    return tuple(plan)
+
+
+def test_phase_normalization_is_pinned():
+    rng = random.Random(4_242)
+    h = hashlib.sha256()
+    for _ in range(3_000):
+        plan = _raw_plan(rng, rng.randint(0, 12), rng.randint(0, 12))
+        h.update(repr(JobBehavior(0, 0, 0, plan).phases).encode())
+    assert h.hexdigest()[:16] == PHASES_DIGEST
+
+
+def _hand_built_case(rng: random.Random) -> tuple[TaskSet, list[int], JobSequence]:
+    """A small set with deadlines up to three periods, random priority
+    points, and a hand-built sequence of raw plans (see _raw_plan)."""
+    tasks = []
+    for _ in range(rng.randint(1, 3)):
+        period = rng.randint(3, 12)
+        wcet = rng.randint(0, min(period, 6))
+        tasks.append(Task(wcet, rng.randint(0, 6), rng.randint(max(wcet, 1), 3 * period), period))
+    ts = TaskSet(tuple(tasks))
+    horizon = rng.randint(10, 60)
+    jobs = []
+    for tid, task in enumerate(ts):
+        r = rng.randint(0, 5)
+        index = 0
+        while r < horizon:
+            jobs.append(JobBehavior(tid, index, r, _raw_plan(rng, task.wcet, task.suspension)))
+            index += 1
+            r += task.period + rng.choice((0, 0, rng.randint(0, 3)))
+    return ts, [rng.randint(-5, 40) for _ in ts], JobSequence(tuple(jobs), horizon)
+
+
+# First 16 hex digits of sha256 digests recorded before the engine walked
+# (execute, suspend) pairs: the normalized plans of raw plans, and the
+# full trace reprs (suspension spans included, which the export omits)
+# of both dispatchers on hand-built sequences.
+PHASES_DIGEST = "32d212ffba7f4453"
+HAND_BUILT_TRACE_DIGEST = "df6463010fc9e002"
+
+
+def test_hand_built_schedules_are_pinned():
+    rng = random.Random(1_618)
+    h = hashlib.sha256()
+    for _ in range(300):
+        ts, pts, seq = _hand_built_case(rng)
+        h.update(repr(simulate_el(ts, pts, seq)).encode())
+        h.update(repr(simulate_tfp(ts, seq)).encode())
+    assert h.hexdigest()[:16] == HAND_BUILT_TRACE_DIGEST
+
+
 def test_recorded_objects_match_ordinary_instances():
-    # The engine builds intervals and job records through private
-    # constructors; they compare, hash and print like ordinary instances
-    # and stay frozen.
+    # The generator builds jobs, and the engine intervals and job
+    # records, without their constructors; they compare, hash and print
+    # like ordinary instances and stay frozen.
     rng = random.Random(7_777)
     for _ in range(10):
-        _, _, _, trace = _random_trace(rng)
-        for obj in trace.intervals + trace.jobs:
+        _, _, seq, trace = _random_trace(rng)
+        for obj in seq.jobs + trace.intervals + trace.jobs:
             fields = dataclasses.fields(obj)
             twin = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
             assert obj == twin and hash(obj) == hash(twin) and repr(obj) == repr(twin)
