@@ -23,6 +23,7 @@ from .analysis import TESTS, TestConfig, result_csv_header, result_csv_row, run_
 from .experiments import LambdaSweepConfig, PolicyChoice, SweepConfig
 from .generator import BatchEntry, GenSpec, dump_batch, synthesize_counting
 from .model import (
+    POLICY_KINDS,
     PriorityPolicy,
     TasksetFormatError,
     format_taskset_text,
@@ -39,8 +40,6 @@ from .simulator import (
     response_times,
     simulate_el,
 )
-
-POLICY_NAMES = ("edf", "fifo", "eqdf", "saedf", "dm", "explicit")
 
 
 def _fraction(text: str) -> Fraction:
@@ -79,7 +78,7 @@ def _test_config(args: argparse.Namespace) -> TestConfig:
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", choices=POLICY_NAMES, default="edf",
+    p.add_argument("--policy", choices=POLICY_KINDS, default="edf",
                    help="priority-point policy (default: edf)")
     p.add_argument("--lambda", dest="weight", type=_fraction, default=None,
                    help="weight for eqdf/saedf priority points")

@@ -96,7 +96,7 @@ class TaskSet:
 # Relative priority-point policies.  Each policy maps a task set to one
 # relative priority point per task; see derive_priority_points().
 
-_POLICY_KINDS = ("edf", "fifo", "eqdf", "saedf", "tfp", "dm", "explicit")
+POLICY_KINDS = ("edf", "fifo", "eqdf", "saedf", "tfp", "dm", "explicit")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class PriorityPolicy:
     points: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _POLICY_KINDS:
+        if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "explicit" and self.points is None:
             raise ValueError("explicit policy requires points")

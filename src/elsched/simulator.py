@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import log
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .model import TaskSet
 
@@ -123,8 +123,10 @@ class JobSequence:
 
 
 def validate_sequence(ts: TaskSet, seq: JobSequence) -> None:
-    """Check a sequence against the task model; raises ValueError."""
-    per_task: dict[int, list[JobBehavior]] = {}
+    """Check a sequence against the task model; raises ValueError.  One
+    pass: `seq.jobs` is sorted by (task, index), so a job's predecessor
+    in its task, if any, is the job before it."""
+    prev: JobBehavior | None = None
     for j in seq.jobs:
         if j.task >= len(ts):
             raise ValueError(f"job references task {j.task} of {len(ts)}")
@@ -140,19 +142,15 @@ def validate_sequence(ts: TaskSet, seq: JobSequence) -> None:
                 f"job ({j.task},{j.index}) suspends {j.suspension_total}, "
                 f"budget {t.suspension}"
             )
-        per_task.setdefault(j.task, []).append(j)
-    for tid, jobs in per_task.items():
-        period = ts[tid].period
-        for pos, j in enumerate(jobs):
-            if j.index != pos:
-                raise ValueError(
-                    f"task {tid} job indices must be consecutive from 0"
-                )
-            if pos and j.release - jobs[pos - 1].release < period:
-                raise ValueError(
-                    f"task {tid} releases {jobs[pos - 1].release},{j.release} "
-                    f"violate separation {period}"
-                )
+        same = prev is not None and prev.task == j.task
+        if j.index != (prev.index + 1 if same else 0):
+            raise ValueError(f"task {j.task} job indices must be consecutive from 0")
+        if same and j.release - prev.release < t.period:
+            raise ValueError(
+                f"task {j.task} releases {prev.release},{j.release} "
+                f"violate separation {t.period}"
+            )
+        prev = j
 
 
 @dataclass(frozen=True)
@@ -194,16 +192,21 @@ class ScheduleTrace:
 # (task, index, release, canonical phases): one job as the engine reads it
 _EngineJob = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
+# who owns a recorded row when no job runs (a running job's row holds its g)
+_SUSP, _WAIT = -1, -2
+
 
 def _run_engine(
     n_tasks: int,
     horizon: int,
     jobs: Sequence[_EngineJob],
-    key_of: Callable[[_EngineJob], tuple],
+    rel_points: Sequence[int],
     record: bool = True,
 ) -> tuple[list[int | None], ScheduleTrace | None]:
     """Simulate `jobs` (sorted by task, then index) over [0, horizon),
-    dispatching the ready job with the smallest `key_of(job)`.
+    dispatching the ready job with the smallest absolute priority point
+    (release + `rel_points[task]`).  The rank order is a stable sort of
+    `jobs` by that point, so equal points break by task, then job index.
 
     Returns the per-job finish times (None if unfinished at the horizon)
     and, when `record` is set, the full trace.  With `record` off the
@@ -216,8 +219,8 @@ def _run_engine(
     job_plan = [j[3] for j in jobs]
 
     # Dispatch order as dense ranks, so the ready heap compares ints.
-    # Keys are unique because they end in (task, index) or equivalent.
-    by_rank = sorted(range(nj), key=lambda g: key_of(jobs[g]))
+    prio = [j[2] + rel_points[j[0]] for j in jobs]
+    by_rank = sorted(range(nj), key=prio.__getitem__)
     rank = [0] * nj
     for r, g in enumerate(by_rank):
         rank[g] = r
@@ -232,22 +235,18 @@ def _run_engine(
     rem = [0] * nj                 # ticks left in the current execute part
     finish: list[int | None] = [None] * nj
     if record:
-        first_start: list[int | None] = [None] * nj
-        exec_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
         susp_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
-        intervals: list[list] = []  # [start, end, kind, task, job], merged on append
-        last: list = [0, 0, "", -1, -1]  # the last row; a sentinel merges with nothing
+        rows: list[list[int]] = []  # [start, end, who], merged while who repeats
+        last: list = [0, 0, None]   # the last row; a sentinel merges with nothing
 
     ready: list[int] = []           # ranks of jobs in an execute part
     susp_ev: list[tuple[int, int]] = []
-    n_susp = 0
 
     def advance(g: int, t: int, h: int) -> None:
         # enter half-phase h of job g: even h executes pair h // 2, odd h
         # suspends it.  A zero part is the leading execute part, which
         # passes on to its suspension, or the last pair's suspend part,
         # which finishes the job; cascades through instant finishes
-        nonlocal n_susp
         while True:
             plan = job_plan[g]
             p = h >> 1
@@ -261,7 +260,6 @@ def _run_engine(
                 if s:
                     hp[g] = h | 1
                     heappush(susp_ev, (t + s, g))
-                    n_susp += 1
                     if record:
                         susp_spans[g].append((t, min(t + s, horizon)))
                     return
@@ -294,7 +292,6 @@ def _run_engine(
                 advance(g, t, 0)
         while susp_ev and susp_ev[0][0] == t:
             _, g = heappop(susp_ev)
-            n_susp -= 1
             advance(g, t, hp[g] + 1)
 
         nxt = horizon
@@ -303,63 +300,61 @@ def _run_engine(
         if susp_ev and susp_ev[0][0] < nxt:
             nxt = susp_ev[0][0]
         if ready:
-            g = by_rank[ready[0]]
-            run_end = t + rem[g]
+            who = by_rank[ready[0]]
+            run_end = t + rem[who]
             if run_end < nxt:
                 nxt = run_end
-            if record:
-                if first_start[g] is None:
-                    first_start[g] = t
-                es = exec_spans[g]
-                if es and es[-1][1] == t:
-                    es[-1] = (es[-1][0], nxt)
-                else:
-                    es.append((t, nxt))
-                # rows are contiguous, and only run rows have a job
-                tid, idx = job_task[g], jobs[g][1]
-                if last[4] == idx and last[3] == tid:
-                    last[1] = nxt
-                else:
-                    last = [t, nxt, "run", tid, idx]
-                    intervals.append(last)
-            rem[g] -= nxt - t
-            t = nxt
-            if rem[g] == 0:
-                heappop(ready)
-                advance(g, t, hp[g] + 1)
+            rem[who] -= nxt - t
         else:
-            if record:
-                kind = "susp" if n_susp > 0 else "wait"
-                if last[2] == kind:
-                    last[1] = nxt
-                else:
-                    last = [t, nxt, kind, -1, -1]
-                    intervals.append(last)
-            t = nxt
+            who = _SUSP if susp_ev else _WAIT
+        if record:
+            if last[2] == who:
+                last[1] = nxt
+            else:
+                last = [t, nxt, who]
+                rows.append(last)
+        t = nxt
+        if who >= 0 and rem[who] == 0:
+            heappop(ready)
+            advance(who, t, hp[who] + 1)
 
     if not record:
         return finish, None
+    # rows tile [0, horizon), so two run rows of one job merged exactly
+    # when they touch: a job's execution spans are its run rows in order
+    exec_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
+    out_intervals = []
+    for start, end, who in rows:
+        if who >= 0:
+            exec_spans[who].append((start, end))
+            task, job, kind = job_task[who], jobs[who][1], "run"
+        else:
+            task = job = -1
+            kind = "susp" if who == _SUSP else "wait"
+        out_intervals.append(
+            _unchecked(Interval, start=start, end=end, kind=kind, task=task, job=job)
+        )
     out_jobs = tuple(
         _unchecked(
-            JobRecord, task=task, index=index, release=release, start=first_start[g],
-            finish=finish[g], exec_spans=tuple(exec_spans[g]), susp_spans=tuple(susp_spans[g]),
+            JobRecord, task=task, index=index, release=release,
+            start=exec_spans[g][0][0] if exec_spans[g] else None, finish=finish[g],
+            exec_spans=tuple(exec_spans[g]), susp_spans=tuple(susp_spans[g]),
         )
         for g, (task, index, release, _) in enumerate(jobs)
     )
-    out_intervals = tuple(
-        _unchecked(Interval, start=start, end=end, kind=kind, task=task, job=job)
-        for start, end, kind, task, job in intervals
-    )
-    return finish, ScheduleTrace(horizon=horizon, intervals=out_intervals, jobs=out_jobs)
+    return finish, ScheduleTrace(horizon=horizon, intervals=tuple(out_intervals), jobs=out_jobs)
 
 
 def _engine_jobs(seq: JobSequence) -> list[_EngineJob]:
     return [(j.task, j.index, j.release, j.phases) for j in seq.jobs]
 
 
-def _el_key(rel_points: Sequence[int]) -> Callable[[_EngineJob], tuple]:
-    pts = list(rel_points)
-    return lambda j: (j[2] + pts[j[0]], j[0], j[1])
+def _simulate(ts: TaskSet, rel_points: Sequence[int], seq: JobSequence) -> ScheduleTrace:
+    """`simulate_el` without its length check on `rel_points`."""
+    if seq._drawn_for != ts:
+        validate_sequence(ts, seq)
+    _, trace = _run_engine(len(ts), seq.horizon, _engine_jobs(seq), rel_points)
+    return trace
 
 
 def simulate_el(
@@ -374,21 +369,20 @@ def simulate_el(
     """
     if len(rel_points) != len(ts):
         raise ValueError("one relative priority point per task required")
-    if seq._drawn_for != ts:
-        validate_sequence(ts, seq)
-    _, trace = _run_engine(len(ts), seq.horizon, _engine_jobs(seq), _el_key(rel_points))
-    return trace
+    return _simulate(ts, rel_points, seq)
 
 
 def simulate_tfp(ts: TaskSet, seq: JobSequence) -> ScheduleTrace:
     """Simulate strict task-level fixed priorities in task order (lower
-    task index always wins); same engine, different comparison key.
-    Validates `seq` as `simulate_el` does.
+    task index always wins); validates `seq` as `simulate_el` does.
+
+    The engine is `simulate_el`'s, with relative points i * horizon for
+    task i.  Every release lies in [0, horizon) (checked, or true by
+    construction), so a task-i job's point lies in [i * horizon,
+    (i + 1) * horizon) and beats every job of a later task; within a
+    task, release order is index order.
     """
-    if seq._drawn_for != ts:
-        validate_sequence(ts, seq)
-    _, trace = _run_engine(len(ts), seq.horizon, _engine_jobs(seq), lambda j: (j[0], j[1]))
-    return trace
+    return _simulate(ts, [i * seq.horizon for i in range(len(ts))], seq)
 
 
 # --- workload generation ------------------------------------------------------
@@ -551,7 +545,7 @@ def random_run_feasible(
     if len(rel_points) != len(ts):
         raise ValueError("one relative priority point per task required")
     jobs = _draw_jobs(ts, horizon, seed, release_model, suspension_model, demand_model)
-    finish, _ = _run_engine(len(ts), horizon, jobs, _el_key(rel_points), record=False)
+    finish, _ = _run_engine(len(ts), horizon, jobs, rel_points, record=False)
     return _deadlines_met(
         ts, horizon, ((j[0], j[2], f) for j, f in zip(jobs, finish))
     )
@@ -683,6 +677,10 @@ def measure_state_times(
     task consecutive from 0).
     """
     n = len(ts)
+    if len(rel_points) != n:
+        raise ValueError("one relative priority point per task required")
+    if not 0 <= task < n:
+        raise ValueError(f"task {task} outside [0, {n})")
     interference = {i: 0 for i in range(n) if i != task}
     ref_interference = (
         {i: 0 for i in range(n) if i != task} if ref_index is not None else {}

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from elsched import experiments
+from elsched import analysis, experiments, load_taskset
 from elsched.cli import build_parser, main
 
 WORKED = "# el-sched taskset v1\n1 0 5 5\n2 1 16 16\n"
@@ -73,6 +73,16 @@ def test_analyze_weighted_policy_label(worked_file, capsys):
     assert main(["analyze", str(worked_file),
                  "--policy", "eqdf", "--lambda", "1"]) == 0
     assert "eqdf[1]" in capsys.readouterr().out
+
+
+def test_policy_flag_takes_tfp(worked_file, capsys):
+    # --policy offers every policy kind of the model, tfp included
+    result = analysis.test_tfp(load_taskset(worked_file))
+    code = main(["analyze", str(worked_file), "--policy", "tfp", "--csv", "--id", "w1"])
+    assert code == (0 if result.verdict else 1)
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row == ",".join(analysis.result_csv_row("w1", "tfp", result))
+    assert main(["simulate", str(worked_file), "--policy", "tfp", "--horizon", "200"]) == 0
 
 
 def test_analyze_dm_orders_by_deadline_on_unsorted_file(tmp_path, capsys):

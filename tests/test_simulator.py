@@ -35,7 +35,6 @@ from elsched.simulator import (
     JobBehavior,
     JobSequence,
     _engine_jobs,
-    _el_key,
     _run_engine,
     random_run_feasible,
 )
@@ -531,7 +530,7 @@ def test_unrecorded_engine_matches_full_trace():
     for _ in range(300):
         ts, pts, seq, trace = _random_trace(rng)
         finish, no_trace = _run_engine(
-            len(ts), seq.horizon, _engine_jobs(seq), _el_key(pts), record=False
+            len(ts), seq.horizon, _engine_jobs(seq), pts, record=False
         )
         assert no_trace is None
         assert finish == [j.finish for j in trace.jobs]
@@ -602,6 +601,56 @@ def test_suspended_idle_intervals_have_a_suspended_job():
                 )
 
 
+def _ready_tasks(trace, t):
+    """Tasks with a job ready at tick t: released, its predecessor
+    finished, itself unfinished and not suspended."""
+    ready = set()
+    prev = None
+    for j in trace.jobs:  # (task, index) order
+        pred = prev if prev is not None and prev.task == j.task else None
+        prev = j
+        if j.release > t or (j.finish is not None and j.finish <= t):
+            continue
+        if pred is not None and (pred.finish is None or pred.finish > t):
+            continue
+        if not any(a <= t < b for a, b in j.susp_spans):
+            ready.add(j.task)
+    return ready
+
+
+def test_tfp_runs_the_highest_priority_ready_task():
+    # Strict fixed priorities, checked tick by tick without the engine's
+    # own dispatch rule: while a task-j job runs no job of a task i < j is
+    # ready, and while the processor idles no job is ready.
+    rng = random.Random(5_151)
+    cases = []
+    for _ in range(10):
+        tasks = []
+        for _ in range(rng.randint(1, 4)):
+            t = rng.randint(4, 30)
+            d = rng.randint(2, 3 * t)
+            tasks.append(Task(rng.randint(1, min(d, t)), rng.randint(0, 4), d, t))
+        ts = TaskSet(tuple(tasks))
+        horizon = rng.randint(20, 4 * max(t.period for t in ts))
+        for models in itertools.product(RELEASE_MODELS, SUSPENSION_MODELS, DEMAND_MODELS):
+            cases.append((ts, generate_job_sequence(ts, horizon, rng.randint(0, 2**32), *models)))
+    for _ in range(100):  # leading suspensions, zero-demand jobs
+        ts, _, seq = _hand_built_case(rng)
+        cases.append((ts, seq))
+    contended = 0
+    for ts, seq in cases:
+        trace = simulate_tfp(ts, seq)
+        for iv in trace.intervals:
+            for t in range(iv.start, iv.end):
+                ready = _ready_tasks(trace, t)
+                if iv.kind != "run":
+                    assert not ready, (iv, t)
+                    continue
+                assert iv.task in ready and min(ready) == iv.task, (iv, t, ready)
+                contended += len(ready) > 1
+    assert contended > 0  # a lower-priority task was ready behind the runner
+
+
 def test_simulation_is_deterministic():
     rng = random.Random(1_003)
     for _ in range(20):
@@ -669,6 +718,13 @@ def test_state_times_rejects_bad_windows():
         measure_state_times(trace, REF, REF_POINTS, 1, 0, 17)
     with pytest.raises(ValueError):
         measure_state_times(trace, REF, REF_POINTS, 1, 0, 16, ref_index=9)
+    # points for another number of tasks, and tasks the set does not have
+    for pts in ((4,), (4, 10, 3)):
+        with pytest.raises(ValueError, match="one relative priority point per task"):
+            measure_state_times(trace, REF, pts, 1, 0, 16)
+    for task in (-1, 2, 5):
+        with pytest.raises(ValueError):
+            measure_state_times(trace, REF, REF_POINTS, task, 0, 16)
 
 
 def _per_tick_state_times(trace, ts, pts, task, start, end, ref_index=None):
