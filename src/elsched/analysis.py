@@ -14,10 +14,24 @@ window (test_fixed, and through it test_tfp and the suspension-oblivious
 baseline) is its single stage that starts at the release, with the count
 of the analyzed task's own jobs left uncapped.  TESTS names the three
 tests a policy is combined with, and run_test runs one of them by name.
+
+The search takes three shortcuts, each exact: it returns every verdict,
+bound, offset and pass count that rescanning every task and stage from
+scratch would.  A task's outcome is a function of the other tasks'
+bounds, so a task is recomputed only after one of them changed.  Every
+window total is non-decreasing in every other task's bound, so while no
+bound has risen, no stage minimum can rise, and a stage scan starts just
+above its last minimum: with the strict-< first-minimum rule it still
+ends on the same least value at the same first offset.  Before each
+reach-back stage, a floor bounds every total within the period in the
+stages left, from below (each ceiling term is at least its argument);
+a floor above the period means the task fails there, as it would after
+scanning every stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,6 +48,13 @@ def ceil_div(num: int, den: int) -> int:
     if den <= 0:
         raise ValueError(f"denominator must be positive, got {den}")
     return -(-num // den)
+
+
+def _at_least(lo: int, **counts: int) -> None:
+    """Raise ValueError for the first count that is not an integer >= lo."""
+    for what, value in counts.items():
+        if not isinstance(value, int) or value < lo:
+            raise ValueError(f"{what} must be an integer >= {lo}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +75,8 @@ class TestConfig:
         object.__setattr__(self, "eta", Fraction(self.eta))
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.max_a < 0:
-            raise ValueError(f"max_a must be >= 0, got {self.max_a}")
+        _at_least(1, depth=self.depth)
+        _at_least(0, max_a=self.max_a)
 
 
 DEFAULT_CONFIG = TestConfig()
@@ -99,6 +118,54 @@ def _caps(C: Sequence[int], D: Sequence[int], pp: Sequence[int]) -> list[list[in
     ]
 
 
+def _reach_floor(
+    Dk: int, Tk: int, csk: int, terms: Sequence[tuple[int, int, int]], lcm: int,
+    a: int, max_a: int,
+) -> int | None:
+    """lcm times a lower bound on every window total <= T_k in stages
+    a..max_a of the extended-window scan of task k, or None when no
+    offset in those stages can give such a total.  csk is C_k + S_k,
+    terms are the scan's (reach, period, wcet) interferers, and lcm is a
+    common multiple of T_k and their periods.
+    """
+    # Every total is at least b + csk, so a total <= T_k needs b <= h.
+    # Each ceiling term is at least its argument (ar - b) / T_i, which
+    # makes lcm * total >= lcm * own * csk + al + b * s: a line in b.
+    h = min(Dk - 1, Tk - csk)
+    ul = al = 0
+    for ar, ti, ci in terms:
+        w = ci * (lcm // ti)
+        ul += w
+        al += ar * w
+    s = lcm - ul
+    cl = csk * (lcm // Tk)
+    floor = None
+    # From b = D_k - x * T_k on, stage x counts its own jobs uncapped, at
+    # least (D_k - b) / T_k of them, whatever x is: one line in b over
+    # the union [D_k - max_a * T_k, h] of those ranges, least at an end.
+    lo = Dk - max_a * Tk
+    if lo <= h:
+        floor = Dk * cl + al + (lo if s >= cl else h) * (s - cl)
+    # Below it, stage x counts x + 1 own jobs over b in
+    # [-x * T_k, min(h, D_k - 1 - x * T_k)], which is not empty from
+    # stage first on.  With s >= 0 the least value is at b = -x * T_k, a
+    # line in x, least at x = first or max_a.  With s < 0 it is at the
+    # right end, which never rises with x while the own term grows, so it
+    # is least at x = first.
+    first = max(a, -(h // Tk))
+    if first <= max_a:
+        if s < 0:
+            x = first
+            b = min(h, Dk - 1 - x * Tk)
+        else:
+            x = first if lcm * csk >= Tk * s else max_a
+            b = -x * Tk
+        v = lcm * (x + 1) * csk + al + b * s
+        if floor is None or v < floor:
+            floor = v
+    return floor
+
+
 def _window_core(
     C: Sequence[int], S: Sequence[int], D: Sequence[int], T: Sequence[int],
     pp: Sequence[int], cfg: TestConfig, reach_back: bool,
@@ -107,14 +174,20 @@ def _window_core(
     # the analyzed release) from -a * T_k up to D_k.  The fixed window is
     # the single stage a = 0 with an uncapped own-job count; the extended
     # window caps that count at a + 1 and reaches back one stage at a time
-    # until a stage bound fits within the period.
+    # until a stage bound fits within the period.  The three shortcuts
+    # (see the module docstring) are marked where they are taken.
     n = len(C)
     order = _deadline_descending(D)
     steps = _grid_steps(D, cfg.eta)
     caps = _caps(C, D, pp)
     stages = cfg.max_a + 1 if reach_back else 1
+    lcm = math.lcm(*T) if reach_back else 1
     rb = list(D)
     offs: list[object] = [None] * n
+    dirty = [True] * n
+    # each task's stage minima at its last computation
+    minima: list[list[int]] = [[] for _ in range(n)]
+    warm = True
     solved = False
     iters = 0
     for _ in range(cfg.depth):
@@ -122,24 +195,40 @@ def _window_core(
         solved = True
         changed = False
         for k in order:
+            if not dirty[k]:
+                # no other bound moved since k's outcome was computed;
+                # a computed task without an offset failed
+                if offs[k] is None:
+                    solved = False
+                    break
+                continue
+            dirty[k] = False
             Dk = D[k]
             Tk = T[k]
             csk = C[k] + S[k]
             step = steps[k]
             row = caps[k]
+            # largest first at b = 0, so the sum passes best sooner
             terms = sorted(
                 ((row[i] + rb[i], T[i], C[i]) for i in range(n) if i != k and C[i] > 0),
-                key=lambda t: -t[2],
+                key=lambda t: (t[0] // -t[1]) * t[2],
             )
+            last = minima[k] if warm else []
             stage_best: list[int] = []
             stage_b: list[int] = []
             reach = None
             for a in range(stages):
+                if a:
+                    floor = _reach_floor(Dk, Tk, csk, terms, lcm, a, cfg.max_a)
+                    if floor is None or floor > Tk * lcm:
+                        break  # no stage from a on can accept: k fails
                 # with b >= 0 the own count never exceeds ceil(D_k / T_k)
                 own_cap = a + 1 if reach_back else -(-Dk // Tk)
                 # only a bound within the deadline can be kept: a position
-                # certifying it must exist at every stage up to the accepted one
-                best = Dk + 1
+                # certifying it must exist at every stage up to the accepted
+                # one.  No bound rose since last[a] was found, so the least
+                # total is at most last[a] and is found from just above it.
+                best = last[a] + 1 if a < len(last) else Dk + 1
                 best_b = 0
                 b = -a * Tk
                 while b < Dk:
@@ -168,21 +257,28 @@ def _window_core(
                 if not reach_back or best <= Tk:
                     reach = a
                     break
+            minima[k] = stage_best
             if reach is None:
                 solved = False
-                if rb[k] != Dk:
-                    rb[k] = Dk
-                    changed = True
+                new_rb = Dk
                 offs[k] = None
-                break
-            new_rb = max(stage_best)
+            else:
+                new_rb = max(stage_best)
+                if reach_back:
+                    offs[k] = (reach, tuple(b + a * Tk for a, b in enumerate(stage_b)))
+                else:
+                    offs[k] = best_b
             if new_rb != rb[k]:
+                # a risen bound may raise other tasks' stage minima
+                if new_rb > rb[k]:
+                    warm = False
                 rb[k] = new_rb
                 changed = True
-            if reach_back:
-                offs[k] = (reach, tuple(b + a * Tk for a, b in enumerate(stage_b)))
-            else:
-                offs[k] = best_b
+                if C[k] > 0:
+                    dirty = [True] * n
+                    dirty[k] = False
+            if reach is None:
+                break
         if not changed:
             break
     return AnalysisResult(solved, tuple(rb), tuple(offs), iters)

@@ -29,6 +29,7 @@ from .analysis import (
     TESTS,
     AnalysisResult,
     TestConfig,
+    _at_least,
     test_variable,
     test_tfp,
     test_fixed,
@@ -107,13 +108,6 @@ def cell_seed(master_seed: int, *parts: object) -> int:
     text = "|".join([str(master_seed), *(str(p) for p in parts)])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def _at_least(lo: int, **counts: int) -> None:
-    """Raise ValueError for the first count that is not an integer >= lo."""
-    for what, value in counts.items():
-        if not isinstance(value, int) or value < lo:
-            raise ValueError(f"{what} must be an integer >= {lo}, got {value!r}")
 
 
 def utilization_grid(lo_pct: int, hi_pct: int, step_pct: int) -> tuple[Fraction, ...]:

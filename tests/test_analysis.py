@@ -370,6 +370,19 @@ def test_config_rejects_bad_values(kwargs):
         IterConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"depth": 1.5}, r"depth must be an integer >= 1, got 1\.5"),
+        ({"max_a": 2.5}, r"max_a must be an integer >= 0, got 2\.5"),
+    ],
+)
+def test_config_rejects_fractional_counts(kwargs, message):
+    # the campaigns' wording; the kernel would fail later with a TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IterConfig(**kwargs)
+
+
 # --- the iterative window tests -----------------------------------------------------
 
 
