@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import PriorityPolicy, TaskSet, derive_priority_points, round_half_up
+from .model import PriorityPolicy, TaskSet, _round_ratio, derive_priority_points
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -107,7 +107,8 @@ def _deadline_descending(D: Sequence[int]) -> list[int]:
 
 
 def _grid_steps(D: Sequence[int], eta: Fraction) -> list[int]:
-    return [max(1, round_half_up(eta * d)) for d in D]
+    p, q = eta.numerator, eta.denominator
+    return [max(1, _round_ratio(p * d, q)) for d in D]
 
 
 def _caps(C: Sequence[int], D: Sequence[int], pp: Sequence[int]) -> list[list[int]]:

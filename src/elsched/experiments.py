@@ -9,6 +9,13 @@ deadline factor, set index) into its seed.  Each sweep cell and verify
 set is one item of `parallel_map`, which keeps item order and stops in
 item order, so reports are the same at any worker count.  Campaigns large
 enough to repay a process pool use EL_SCHED_THREADS workers.
+
+Sweep cells and soundness sets run no analysis twice (`_verdicts`).  Their
+memo rests on one identity: when no deadline exceeds its period, the
+variable-window test returns the fixed-window test's verdict, bounds and
+pass count, so a variable run there is a fixed run.  The fixed-vs-extended
+campaign (`verify_fixed_vs_extended`, acceptance check c04) runs both
+tests, bypassing the memo, and is what checks that identity.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from .analysis import (
     test_variable,
     test_tfp,
     test_fixed,
-    baseline_susp_obl,
     run_test,
 )
 from .generator import GenSpec, synthesize
@@ -195,6 +201,25 @@ class SweepConfig:
             raise ValueError(f"repeated policy label in {labels}")
 
 
+def _verdicts(
+    ts: TaskSet, runs: Sequence[tuple[tuple[int, ...], str]], config: TestConfig,
+) -> list[bool]:
+    """The verdict of each (points, test) run on one set, each distinct
+    analysis run once.  Runs share a verdict when their effective test
+    and points are equal: the variable test is the fixed test when no
+    deadline exceeds its period, and equal points (eqdf(0), saedf(0) and
+    edf, say) give equal results."""
+    constrained = all(t.deadline <= t.period for t in ts)
+    memo: dict[tuple[str, tuple[int, ...]], bool] = {}
+    out = []
+    for pts, test in runs:
+        key = ("fixed" if constrained and test == "variable" else test, pts)
+        if key not in memo:
+            memo[key] = run_test(key[0], ts, pts, config).verdict
+        out.append(memo[key])
+    return out
+
+
 def _count_cell(
     sets: int, choices: tuple[tuple[PriorityPolicy, str], ...], config: TestConfig,
     corpus: _Corpus,
@@ -204,8 +229,8 @@ def _count_cell(
     counts = [0] * (len(choices) + 1)
     for idx in range(sets):
         ts = corpus.draw(idx)[3]
-        verdicts = [run_test(test, ts, derive_priority_points(ts, policy), config).verdict
-                    for policy, test in choices]
+        verdicts = _verdicts(
+            ts, [(derive_priority_points(ts, policy), test) for policy, test in choices], config)
         counts = [c + v for c, v in zip(counts, (*verdicts, any(verdicts)))]
     return counts
 
@@ -348,11 +373,10 @@ def _soundness_set(
     window test accepts it, its simulations."""
     seed, u, x, ts = corpus.draw(idx)
     pts = derive_priority_points(ts, PriorityPolicy.edf())
-    rf = test_fixed(ts, pts, cfg)
-    re = test_variable(ts, pts, cfg)
-    ro = baseline_susp_obl(ts, pts, cfg)
-    outcome = SetOutcome(seed, u, x, rf.verdict, re.verdict, ro.verdict)
-    if not (rf.verdict or re.verdict):
+    fixed, extended, oblivious = _verdicts(
+        ts, ((pts, "fixed"), (pts, "variable"), (pts, "baseline")), cfg)
+    outcome = SetOutcome(seed, u, x, fixed, extended, oblivious)
+    if not (fixed or extended):
         return outcome, 0, []
     horizon = horizon_factor * max(t.period for t in ts)
     sim_seeds = [cell_seed(corpus.master_seed, "sim", idx, s) for s in range(sims_per_set)]

@@ -19,11 +19,36 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .model import Task, TaskSet, round_half_up
+from .model import Task, TaskSet, _round_ratio
 
 TICKS_PER_MS = 1000
 
 _MAX_REDRAWS = 100_000
+
+
+def _uunifast_ratios(
+    n: int, u_num: int, u_den: int, rng: random.Random,
+) -> tuple[list[int], int]:
+    """The uniform split of u_num / u_den into n positive parts, as
+    numerators over one common denominator.  Sampling uses floats; each
+    float part is a / d exactly (as_integer_ratio, d a power of two), so
+    over their largest d the parts are integers a_i summing to A, and
+    u_i = a_i * u_num / (A * u_den) is the exact rescale to the target.
+    """
+    while True:
+        parts: list[float] = []
+        remaining = u_num / u_den
+        for k in range(1, n):
+            nxt = remaining * rng.random() ** (1.0 / (n - k))
+            parts.append(remaining - nxt)
+            remaining = nxt
+        parts.append(remaining)
+        if all(p > 0.0 for p in parts):
+            break
+    ratios = [p.as_integer_ratio() for p in parts]
+    common = max(d for _, d in ratios)
+    nums = [a * (common // d) for a, d in ratios]
+    return [a * u_num for a in nums], sum(nums) * u_den
 
 
 def uunifast(n: int, u_total: Fraction | float, rng: random.Random) -> list[Fraction]:
@@ -36,19 +61,8 @@ def uunifast(n: int, u_total: Fraction | float, rng: random.Random) -> list[Frac
     target = Fraction(u_total)
     if target <= 0:
         raise ValueError(f"u_total must be positive, got {u_total}")
-    while True:
-        parts: list[float] = []
-        remaining = float(target)
-        for k in range(1, n):
-            nxt = remaining * rng.random() ** (1.0 / (n - k))
-            parts.append(remaining - nxt)
-            remaining = nxt
-        parts.append(remaining)
-        if all(p > 0.0 for p in parts):
-            break
-    raw = [Fraction(p) for p in parts]
-    scale = target / sum(raw)
-    return [p * scale for p in raw]
+    nums, den = _uunifast_ratios(n, target.numerator, target.denominator, rng)
+    return [Fraction(m, den) for m in nums]
 
 
 @dataclass(frozen=True)
@@ -100,28 +114,30 @@ def synthesize_counting(spec: GenSpec) -> tuple[TaskSet, int]:
     (possible when u_total > 1; such vectors are redrawn, never clamped).
     """
     rng = random.Random(spec.seed)
+    u = spec.u_total
     discards = 0
     while True:
-        us = uunifast(spec.n, spec.u_total, rng)
-        if all(u <= 1 for u in us):
+        nums, den = _uunifast_ratios(spec.n, u.numerator, u.denominator, rng)
+        if all(m <= den for m in nums):
             break
         discards += 1
         if discards > _MAX_REDRAWS:
-            raise RuntimeError(
+            raise ValueError(
                 f"gave up after {discards} utilization redraws for {spec}"
             )
     lo_ln = math.log(spec.period_range[0] * TICKS_PER_MS)
     hi_ln = math.log(spec.period_range[1] * TICKS_PER_MS)
+    x = spec.deadline_factor
     slo, shi = spec.suspension_factor_range
     tasks = []
-    for u in us:
+    for m in nums:
         period = int(math.exp(rng.uniform(lo_ln, hi_ln)) + 0.5)
-        wcet = round_half_up(u * period)
-        deadline = round_half_up(spec.deadline_factor * period)
+        wcet = _round_ratio(m * period, den)
+        deadline = _round_ratio(x.numerator * period, x.denominator)
         slack = period - wcet
         if slack > 0:
-            s_lo = round_half_up(slo * slack)
-            s_hi = round_half_up(shi * slack)
+            s_lo = _round_ratio(slo.numerator * slack, slo.denominator)
+            s_hi = _round_ratio(shi.numerator * slack, shi.denominator)
             susp = rng.randint(s_lo, s_hi)
         else:
             susp = 0

@@ -10,7 +10,6 @@ point r + rel_point, smaller values winning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -23,9 +22,16 @@ class TasksetFormatError(ValueError):
     """Raised when a task-set file or literal violates the model."""
 
 
+def _round_ratio(num: int, den: int) -> int:
+    """num / den (den > 0) rounded to the nearest integer, ties toward
+    plus infinity: floor(num / den + 1/2), in integers."""
+    return (2 * num + den) // (2 * den)
+
+
 def round_half_up(value: Fraction | int) -> int:
     """Round to the nearest integer, ties toward plus infinity."""
-    return math.floor(Fraction(value) + Fraction(1, 2))
+    value = Fraction(value)
+    return _round_ratio(value.numerator, value.denominator)
 
 
 @dataclass(frozen=True)
@@ -172,12 +178,13 @@ def derive_priority_points(ts: TaskSet, policy: PriorityPolicy) -> tuple[int, ..
         return tuple(t.deadline for t in ts)
     if policy.kind == "fifo":
         return tuple(0 for _ in ts)
-    if policy.kind == "eqdf":
-        w = policy.weight
-        return tuple(round_half_up(t.deadline + w * t.wcet) for t in ts)
-    if policy.kind == "saedf":
-        w = policy.weight
-        return tuple(round_half_up(t.deadline + w * t.suspension) for t in ts)
+    if policy.kind in ("eqdf", "saedf"):
+        # D + (p / q) * X rounds as (q * D + p * X) / q
+        w = Fraction(policy.weight)
+        p, q = w.numerator, w.denominator
+        if policy.kind == "eqdf":
+            return tuple(_round_ratio(q * t.deadline + p * t.wcet, q) for t in ts)
+        return tuple(_round_ratio(q * t.deadline + p * t.suspension, q) for t in ts)
     if policy.kind in ("tfp", "dm"):
         tasks = ts.tasks
         order = range(len(tasks))

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from elsched import analysis, experiments, load_taskset
+from elsched import analysis, experiments, generator, load_taskset
 from elsched.cli import build_parser, main
 
 WORKED = "# el-sched taskset v1\n1 0 5 5\n2 1 16 16\n"
@@ -161,6 +161,15 @@ def test_generate_rejects_zero_count(capsys):
     assert "--count" in capsys.readouterr().err
 
 
+def test_generate_infeasible_target_exits_two(monkeypatch, capsys):
+    # two tasks cannot split a total of 2 without one exceeding 1; a small
+    # redraw limit keeps the test fast
+    monkeypatch.setattr(generator, "_MAX_REDRAWS", 5)
+    assert main(["generate", "--n", "2", "--u", "2", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: gave up after 6 utilization redraws")
+
+
 def test_generate_analyze_round_trip(tmp_path, capsys):
     # generated files feed straight back into every analysis mode
     rng = random.Random(2024)
@@ -246,6 +255,14 @@ def test_lambda_sweep_writes_csv(tmp_path, capsys):
     text = (tmp_path / "sweep_lam_3.csv").read_text()
     assert "best" in text
     assert text.splitlines()[0].startswith("deadline_factor,utilization,family")
+
+
+def test_sweep_infeasible_utilization_exits_two(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(generator, "_MAX_REDRAWS", 5)
+    cfg = tmp_path / "full.json"
+    cfg.write_text(json.dumps({"utilizations": ["2"], "sets_per_point": 1, "n": 2}))
+    assert main(["sweep", "--config", str(cfg), "-o", str(tmp_path)]) == 2
+    assert "error: gave up after 6 utilization redraws" in capsys.readouterr().err
 
 
 def test_sweep_bad_config_exits_two(tmp_path, capsys):

@@ -11,7 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from elsched import PriorityPolicy, experiments, simulate_tfp
+from elsched import (
+    GenSpec, PriorityPolicy, TaskSet, analysis, derive_priority_points, experiments,
+    simulate_tfp, synthesize,
+)
 from elsched.experiments import (
     LambdaSweepConfig,
     PolicyChoice,
@@ -139,6 +142,105 @@ def test_acceptance_sweep_accepts_everything_at_trivial_load():
         r for r in rows if r["policy"] == "edf" and r["utilization"] == 0.05
     ]
     assert edf_low and edf_low[0]["ratio"] == 1.0
+
+
+# --- one analysis per distinct (effective test, points) ------------------------
+
+
+# edf, eqdf(0) and saedf(0) give equal points; the weighted ones differ
+_MEMO_POLICIES = (
+    PriorityPolicy.edf(), PriorityPolicy.eqdf(0), PriorityPolicy.saedf(0),
+    PriorityPolicy.eqdf(1), PriorityPolicy.saedf(Fraction(-1, 2)), PriorityPolicy.fifo(),
+)
+_MEMO_RUNS = tuple((p, t) for p in _MEMO_POLICIES for t in ("fixed", "variable", "baseline"))
+
+
+def _oracle_verdicts(ts, runs, config):
+    """One run_test call per run, nothing shared."""
+    return [analysis.run_test(test, ts, pts, config).verdict for pts, test in runs]
+
+
+def _runs(ts):
+    return [(derive_priority_points(ts, p), t) for p, t in _MEMO_RUNS]
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(3, 2), Fraction(2)])
+def test_verdict_memo_matches_one_run_per_choice(x):
+    cfg = analysis.TestConfig()
+    for seed in range(12):
+        u = Fraction(3 + 6 * (seed % 3), 10)
+        ts = synthesize(GenSpec(n=5, u_total=u, seed=seed, deadline_factor=x))
+        runs = _runs(ts)
+        assert experiments._verdicts(ts, runs, cfg) == _oracle_verdicts(ts, runs, cfg)
+
+
+# one task's deadline beyond its period: only the variable test accepts
+MIXED_SET = TaskSet.from_tuples([(1, 9, 19, 19), (13, 3, 37, 26)])
+
+
+def test_verdict_memo_keeps_variable_test_with_one_deadline_beyond_period():
+    cfg = analysis.TestConfig()
+    pts = derive_priority_points(MIXED_SET, PriorityPolicy.edf())
+    runs = [(pts, "fixed"), (pts, "variable")]
+    assert _oracle_verdicts(MIXED_SET, runs, cfg) == [False, True]
+    assert experiments._verdicts(MIXED_SET, runs, cfg) == [False, True]
+    runs = _runs(MIXED_SET)
+    assert experiments._verdicts(MIXED_SET, runs, cfg) == _oracle_verdicts(MIXED_SET, runs, cfg)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name; the list it returns collects the points of every call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(tuple(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verdict_memo_runs_each_distinct_analysis_once(monkeypatch):
+    ts = synthesize(GenSpec(n=5, u_total=Fraction(1, 2), seed=4, deadline_factor=Fraction(2)))
+    fixed = _counting(monkeypatch, analysis, "test_fixed")
+    variable = _counting(monkeypatch, analysis, "test_variable")
+    experiments._verdicts(ts, _runs(ts), analysis.TestConfig())
+    # edf, eqdf(0) and saedf(0) share one point tuple: four distinct ones
+    assert len(fixed) == len(set(fixed)) == 4
+    assert len(variable) == len(set(variable)) == 4
+
+
+_MEMO_SWEEP_POLICIES = (
+    PolicyChoice("edf-fixed", PriorityPolicy.edf(), "fixed"),
+    PolicyChoice("edf-variable", PriorityPolicy.edf(), "variable"),
+    PolicyChoice("eqdf0-variable", PriorityPolicy.eqdf(0), "variable"),
+    PolicyChoice("edf-susp-obl", PriorityPolicy.edf(), "baseline"),
+)
+
+
+@pytest.mark.parametrize("x,per_set", [(Fraction(1), 0), (Fraction(2), 1)])
+def test_sweep_runs_variable_test_only_beyond_periods(monkeypatch, x, per_set):
+    variable = _counting(monkeypatch, analysis, "test_variable")
+    cfg = SweepConfig(master_seed=3, utilizations=(Fraction(3, 10), Fraction(7, 10)),
+                      sets_per_point=4, n=5, deadline_factors=(x,),
+                      policies=_MEMO_SWEEP_POLICIES)
+    rows = acceptance_sweep(cfg, workers=1)
+    assert len(variable) == per_set * 2 * 4
+    by = {(r["utilization"], r["policy"]): r["accepted"] for r in rows}
+    if x == 1:
+        for u in (0.3, 0.7):
+            assert by[u, "edf-variable"] == by[u, "edf-fixed"] == by[u, "eqdf0-variable"]
+
+
+def test_fixed_vs_extended_campaign_runs_both_tests(monkeypatch):
+    # the campaign checks the identity the verdict memo rests on, so it
+    # must not go through the memo
+    fixed = _counting(monkeypatch, experiments, "test_fixed")
+    variable = _counting(monkeypatch, experiments, "test_variable")
+    rep = verify_fixed_vs_extended(sets=6, master_seed=2, n=4)
+    assert rep.mismatches == ()
+    assert len(fixed) == len(variable) == 6
 
 
 def test_policy_choice_validates_test_kind():

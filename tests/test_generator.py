@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import scipy.stats
 
-from elsched import GenSpec, Task, TaskSet, synthesize, uunifast
+from elsched import GenSpec, Task, TaskSet, generator, synthesize, uunifast
 from elsched.generator import (
     TICKS_PER_MS,
     BatchEntry,
@@ -155,6 +155,95 @@ def test_overloaded_targets_redraw_single_task_overshoots():
         saw_discard = saw_discard or discards > 0
         assert all(t.wcet <= t.period for t in ts)
     assert saw_discard
+
+
+# --- exactness of the integer synthesis path -----------------------------------
+
+
+def _fraction_uunifast(n, u_total, rng):
+    """The Fraction-arithmetic split: float draws, then an exact rescale."""
+    target = Fraction(u_total)
+    while True:
+        parts = []
+        remaining = float(target)
+        for k in range(1, n):
+            nxt = remaining * rng.random() ** (1.0 / (n - k))
+            parts.append(remaining - nxt)
+            remaining = nxt
+        parts.append(remaining)
+        if all(p > 0.0 for p in parts):
+            break
+    raw = [Fraction(p) for p in parts]
+    scale = target / sum(raw)
+    return [p * scale for p in raw]
+
+
+def _fraction_round(value):
+    return math.floor(Fraction(value) + Fraction(1, 2))
+
+
+def _fraction_synthesize(spec):
+    """Oracle for synthesize_counting, in Fraction arithmetic throughout."""
+    rng = random.Random(spec.seed)
+    discards = 0
+    while True:
+        us = _fraction_uunifast(spec.n, spec.u_total, rng)
+        if all(u <= 1 for u in us):
+            break
+        discards += 1
+    lo_ln = math.log(spec.period_range[0] * TICKS_PER_MS)
+    hi_ln = math.log(spec.period_range[1] * TICKS_PER_MS)
+    slo, shi = spec.suspension_factor_range
+    tasks = []
+    for u in us:
+        period = int(math.exp(rng.uniform(lo_ln, hi_ln)) + 0.5)
+        wcet = _fraction_round(u * period)
+        deadline = _fraction_round(spec.deadline_factor * period)
+        slack = period - wcet
+        if slack > 0:
+            susp = rng.randint(_fraction_round(slo * slack), _fraction_round(shi * slack))
+        else:
+            susp = 0
+        tasks.append(Task(wcet=wcet, suspension=susp, deadline=deadline, period=period))
+    tasks.sort(key=lambda t: t.deadline)
+    return TaskSet(tuple(tasks)), discards
+
+
+_FACTORS = (Fraction(1), Fraction(7, 5), Fraction(3, 2), Fraction(2))
+_SUSPENSION_RANGES = (
+    (Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)), (Fraction(0), Fraction(1, 10)),
+)
+_PERIOD_RANGES = ((1, 100), (20, 100), (0.5, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20])
+def test_synthesis_matches_fraction_oracle(n):
+    # 6 x 900 specs; totals above 1 (below 2 at n = 2, where 2 cannot be
+    # split) make redraws happen, and factor 3/2 and suspension range
+    # (0, 1/2) hit exact ties, so a change of rounding rule shows
+    rng = random.Random(f"synthesis-oracle:{n}")
+    top = {1: 20, 2: 39, 3: 40}.get(n, 60)
+    discards = 0
+    for _ in range(900):
+        spec = GenSpec(
+            n=n, u_total=Fraction(rng.randint(1, top), 20), seed=rng.getrandbits(48),
+            period_range=rng.choice(_PERIOD_RANGES), deadline_factor=rng.choice(_FACTORS),
+            suspension_factor_range=rng.choice(_SUSPENSION_RANGES),
+        )
+        got = synthesize_counting(spec)
+        assert got == _fraction_synthesize(spec), spec
+        discards += got[1]
+        parts = uunifast(n, spec.u_total, random.Random(spec.seed))
+        assert sum(parts) == spec.u_total
+        assert parts == _fraction_uunifast(n, spec.u_total, random.Random(spec.seed))
+    assert (discards > 0) == (n > 1)
+
+
+def test_infeasible_target_gives_up_with_value_error(monkeypatch):
+    # two tasks cannot split a total of 2 without one exceeding 1
+    monkeypatch.setattr(generator, "_MAX_REDRAWS", 5)
+    with pytest.raises(ValueError, match="gave up after 6 utilization redraws"):
+        synthesize_counting(GenSpec(n=2, u_total=Fraction(2), seed=1))
 
 
 def test_genspec_validation():
