@@ -34,8 +34,12 @@ def _uunifast_ratios(
     float part is a / d exactly (as_integer_ratio, d a power of two), so
     over their largest d the parts are integers a_i summing to A, and
     u_i = a_i * u_num / (A * u_den) is the exact rescale to the target.
+
+    A split with a part at 0.0 is redrawn, at most `_MAX_REDRAWS` times:
+    a total that (nearly) underflows in floating point never splits
+    into positive parts.
     """
-    while True:
+    for _ in range(_MAX_REDRAWS + 1):
         parts: list[float] = []
         remaining = u_num / u_den
         for k in range(1, n):
@@ -45,6 +49,11 @@ def _uunifast_ratios(
         parts.append(remaining)
         if all(p > 0.0 for p in parts):
             break
+    else:
+        raise ValueError(
+            f"gave up after {_MAX_REDRAWS} utilization redraws: no split of "
+            f"{u_num / u_den!r} into {n} positive floats"
+        )
     ratios = [p.as_integer_ratio() for p in parts]
     common = max(d for _, d in ratios)
     nums = [a * (common // d) for a, d in ratios]

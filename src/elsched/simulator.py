@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import log
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .model import TaskSet
@@ -61,9 +61,10 @@ _T = TypeVar("_T")
 
 
 def _unchecked(cls: type[_T], **fields: object) -> _T:
-    """An instance of the frozen dataclass `cls` from fields already
-    valid and canonical: fills the instance dict in one step, with no
-    `__init__`, `__post_init__` or frozen `__setattr__` per field."""
+    """An instance of the frozen dataclass `cls` from fields (for
+    `ScheduleTrace`, its row storage) already valid and canonical: fills
+    the instance dict in one step, with no `__init__`, `__post_init__`
+    or frozen `__setattr__` per field."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -184,9 +185,65 @@ class JobRecord:
 
 @dataclass(frozen=True)
 class ScheduleTrace:
+    """A recorded schedule over [0, horizon): its intervals in time order
+    and one record per job in (task, index) order.
+
+    Storage is columnar.  Two plain tuples hold the trace: `_rows`, one
+    (start, end, kind, task, job) tuple per interval, and `_job_rows`,
+    one (task, index, release, start, finish, exec_spans, susp_spans)
+    tuple per job, the fields of `Interval` and `JobRecord` in order.
+    The simulator fills only these; `intervals` and `jobs` are built
+    from them on first access and then cached.  A trace built from
+    objects (`ScheduleTrace(horizon, intervals, jobs)`,
+    `dataclasses.replace`) derives its tuples from them the same way.
+    Equality and hashing use the tuples and give what comparing and
+    hashing the fields would (a row hashes as its record does).  The
+    trace readers in this module (`export_trace`, `response_times`,
+    `check_feasibility`, `measure_state_times`) read only the tuples.
+    """
+
     horizon: int
     intervals: tuple[Interval, ...]
     jobs: tuple[JobRecord, ...]
+
+    def __getattr__(self, name: str):
+        # called only for attributes missing from the instance dict: the
+        # side of the storage this trace was not built with
+        d = self.__dict__
+        if name == "intervals" and "_rows" in d:
+            value = tuple(
+                _unchecked(Interval, start=s, end=e, kind=k, task=t, job=j)
+                for s, e, k, t, j in d["_rows"]
+            )
+        elif name == "jobs" and "_job_rows" in d:
+            value = tuple(
+                _unchecked(
+                    JobRecord, task=t, index=i, release=r, start=s, finish=f,
+                    exec_spans=es, susp_spans=ss,
+                )
+                for t, i, r, s, f, es, ss in d["_job_rows"]
+            )
+        elif name == "_rows" and "intervals" in d:
+            value = tuple((iv.start, iv.end, iv.kind, iv.task, iv.job) for iv in d["intervals"])
+        elif name == "_job_rows" and "jobs" in d:
+            value = tuple(
+                (j.task, j.index, j.release, j.start, j.finish, j.exec_spans, j.susp_spans)
+                for j in d["jobs"]
+            )
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d[name] = value
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.horizon, self._rows, self._job_rows) == (
+            other.horizon, other._rows, other._job_rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.horizon, self._rows, self._job_rows))
 
 
 # (task, index, release, canonical phases): one job as the engine reads it
@@ -323,26 +380,21 @@ def _run_engine(
     # rows tile [0, horizon), so two run rows of one job merged exactly
     # when they touch: a job's execution spans are its run rows in order
     exec_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
-    out_intervals = []
+    out_rows = []
     for start, end, who in rows:
         if who >= 0:
             exec_spans[who].append((start, end))
-            task, job, kind = job_task[who], jobs[who][1], "run"
+            out_rows.append((start, end, "run", job_task[who], jobs[who][1]))
         else:
-            task = job = -1
-            kind = "susp" if who == _SUSP else "wait"
-        out_intervals.append(
-            _unchecked(Interval, start=start, end=end, kind=kind, task=task, job=job)
-        )
-    out_jobs = tuple(
-        _unchecked(
-            JobRecord, task=task, index=index, release=release,
-            start=exec_spans[g][0][0] if exec_spans[g] else None, finish=finish[g],
-            exec_spans=tuple(exec_spans[g]), susp_spans=tuple(susp_spans[g]),
-        )
-        for g, (task, index, release, _) in enumerate(jobs)
+            out_rows.append((start, end, "susp" if who == _SUSP else "wait", -1, -1))
+    job_rows = tuple(
+        (task, index, release, spans[0][0] if spans else None, fin,
+         tuple(spans), tuple(susp))
+        for (task, index, release, _), spans, susp, fin
+        in zip(jobs, exec_spans, susp_spans, finish)
     )
-    return finish, ScheduleTrace(horizon=horizon, intervals=tuple(out_intervals), jobs=out_jobs)
+    trace = _unchecked(ScheduleTrace, horizon=horizon, _rows=tuple(out_rows), _job_rows=job_rows)
+    return finish, trace
 
 
 def _engine_jobs(seq: JobSequence) -> list[_EngineJob]:
@@ -563,14 +615,14 @@ def response_times(
     per_job: dict[tuple[int, int], int] = {}
     per_task: dict[int, int] = {}
     unfinished: list[tuple[int, int]] = []
-    for j in trace.jobs:
-        if j.finish is None:
-            unfinished.append((j.task, j.index))
+    for task, index, release, _, finish, _, _ in trace._job_rows:
+        if finish is None:
+            unfinished.append((task, index))
             continue
-        resp = j.finish - j.release
-        per_job[(j.task, j.index)] = resp
-        if resp > per_task.get(j.task, -1):
-            per_task[j.task] = resp
+        resp = finish - release
+        per_job[(task, index)] = resp
+        if resp > per_task.get(task, -1):
+            per_task[task] = resp
     return per_job, per_task, unfinished
 
 
@@ -580,9 +632,11 @@ def check_feasibility(trace: ScheduleTrace, ts: TaskSet) -> bool:
     with deadlines at or past the horizon cannot be judged and are not
     counted against feasibility.
     """
-    return _deadlines_met(
-        ts, trace.horizon, ((j.task, j.release, j.finish) for j in trace.jobs)
-    )
+    return _deadlines_met(ts, trace.horizon, map(_outcome_of, trace._job_rows))
+
+
+# (task, release, finish) of a job row
+_outcome_of = itemgetter(0, 2, 4)
 
 
 def _deadlines_met(
@@ -609,12 +663,11 @@ def export_trace(trace: ScheduleTrace) -> str:
     per interval: start end state task job (task/job -1 unless running).
     """
     lines = [TRACE_HEADER, f"# horizon {trace.horizon}"]
-    for j in trace.jobs:
-        s = "-" if j.start is None else str(j.start)
-        f = "-" if j.finish is None else str(j.finish)
-        lines.append(f"# job {j.task} {j.index} {j.release} {s} {f}")
-    for iv in trace.intervals:
-        lines.append(f"{iv.start} {iv.end} {iv.kind} {iv.task} {iv.job}")
+    for task, index, release, start, finish, _, _ in trace._job_rows:
+        s = "-" if start is None else start
+        f = "-" if finish is None else finish
+        lines.append(f"# job {task} {index} {release} {s} {f}")
+    lines.extend(f"{s} {e} {k} {t} {j}" for s, e, k, t, j in trace._rows)
     return "\n".join(lines) + "\n"
 
 
@@ -646,8 +699,8 @@ class StateTimes:
     ref_interference: dict[int, int]
 
 
-_task_of = attrgetter("task")
-_end_of = attrgetter("end")
+_task_of = itemgetter(0)   # of a job row
+_end_of = itemgetter(1)    # of an interval row
 
 
 def measure_state_times(
@@ -685,10 +738,10 @@ def measure_state_times(
     ref_interference = (
         {i: 0 for i in range(n) if i != task} if ref_index is not None else {}
     )
-    jobs = trace.jobs
+    jobs = trace._job_rows
     first = [bisect_left(jobs, i, key=_task_of) for i in range(n)]
     k_jobs = jobs[first[task]:bisect_right(jobs, task, first[task], key=_task_of)]
-    per_job = {j.index: 0 for j in k_jobs}
+    per_job = {j[1]: 0 for j in k_jobs}
     if start >= end:
         return StateTimes(0, 0, interference, per_job, ref_interference)
     if start < 0 or end > trace.horizon:
@@ -700,9 +753,9 @@ def measure_state_times(
     if ref_index is not None:
         if not 0 <= ref_index < len(k_jobs):
             raise ValueError(f"task {task} has no job {ref_index} in the trace")
-        ref_key = (k_jobs[ref_index].release + own, task, ref_index)
+        ref_key = (k_jobs[ref_index][2] + own, task, ref_index)
 
-    intervals = trace.intervals
+    intervals = trace._rows
     i = bisect_right(intervals, start, key=_end_of)
     inactive = progress = 0
     # the current job: its position in k_jobs, release, finish (`end`
@@ -720,17 +773,16 @@ def measure_state_times(
                 cur_fin = end
                 break
             cur = k_jobs[p]
-            cur_rel = cur.release
-            cur_fin = end if cur.finish is None else cur.finish
+            cur_rel = cur[2]
+            cur_fin = end if cur[4] is None else cur[4]
             cur_key = (cur_rel + own, task, p)
-            spans = cur.susp_spans
+            spans = cur[6]
             s = 0
-        iv = intervals[i]
-        nxt = iv.end if iv.end < end else end
-        r = iv.task
+        _, iv_end, _, r, rj = intervals[i]
+        nxt = iv_end if iv_end < end else end
         rkey = None
         if r >= 0 and r != task:
-            rkey = (jobs[first[r] + iv.job].release + pts[r], r, iv.job)
+            rkey = (jobs[first[r] + rj][2] + pts[r], r, rj)
         suspended = False
         active = cur is not None and cur_rel <= t
         if active:
@@ -762,7 +814,7 @@ def measure_state_times(
                 per_job[p] += width
 
         t = nxt
-        if t == iv.end:
+        if t == iv_end:
             i += 1
 
     return StateTimes(inactive, progress, interference, per_job, ref_interference)

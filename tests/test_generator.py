@@ -246,6 +246,17 @@ def test_infeasible_target_gives_up_with_value_error(monkeypatch):
         synthesize_counting(GenSpec(n=2, u_total=Fraction(2), seed=1))
 
 
+def test_underflowing_target_gives_up_with_value_error(monkeypatch):
+    # a positive total whose float is 0.0 (or the least subnormal) never
+    # splits into positive float parts: the redraws end at the limit
+    with pytest.raises(ValueError, match="gave up after 100000 utilization redraws"):
+        synthesize(GenSpec(n=2, u_total=Fraction(1, 10**400), seed=0))
+    monkeypatch.setattr(generator, "_MAX_REDRAWS", 5)
+    for total in (Fraction(1, 10**400), 5e-324):
+        with pytest.raises(ValueError, match="gave up after 5 utilization redraws"):
+            uunifast(2, total, random.Random(0))
+
+
 def test_genspec_validation():
     good = dict(n=5, u_total=Fraction(1, 2), seed=0)
     GenSpec(**good)

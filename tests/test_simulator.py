@@ -14,6 +14,7 @@ import pytest
 from elsched import (
     GenSpec,
     PriorityPolicy,
+    ScheduleTrace,
     Task,
     TaskSet,
     check_feasibility,
@@ -27,6 +28,7 @@ from elsched import (
     synthesize,
     validate_sequence,
 )
+from elsched import simulator
 from elsched.generator import TICKS_PER_MS
 from elsched.simulator import (
     DEMAND_MODELS,
@@ -1022,6 +1024,65 @@ def test_recorded_objects_match_ordinary_instances():
             assert obj == twin and hash(obj) == hash(twin) and repr(obj) == repr(twin)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, fields[0].name, 0)
+
+
+def _read_all(trace: ScheduleTrace, ts: TaskSet, pts) -> tuple:
+    """What every trace reader gives: the export, response times, the
+    feasibility verdict and, per task, state times over the whole horizon
+    and over its middle third against job 0."""
+    h = trace.horizon
+    return (
+        export_trace(trace),
+        response_times(trace),
+        check_feasibility(trace, ts),
+        [
+            measure_state_times(trace, ts, pts, k, a, b, ref_index=ref)
+            for k in range(len(ts))
+            for a, b, ref in ((0, h, None), (h // 3, 2 * h // 3, 0))
+        ],
+    )
+
+
+def test_engine_and_object_built_traces_agree():
+    # An engine trace holds only rows; the same trace built from its
+    # Interval/JobRecord objects holds only objects.  Both compare, hash,
+    # print and read the same, in either order.
+    rng = random.Random(5_151)
+    for _ in range(60):
+        ts, pts, seq, trace = _random_trace(rng)
+        twin = ScheduleTrace(trace.horizon, trace.intervals, trace.jobs)
+        fresh = simulate_el(ts, pts, seq)
+        assert "intervals" not in vars(fresh) and "_rows" not in vars(twin)
+        assert fresh == twin and twin == fresh and not fresh != twin
+        assert hash(fresh) == hash(twin)
+        assert _read_all(fresh, ts, pts) == _read_all(twin, ts, pts)
+        assert repr(fresh) == repr(twin)
+        # the frozen dataclass's own rule: hash of the field tuple
+        assert hash(fresh) == hash((fresh.horizon, fresh.intervals, fresh.jobs))
+        assert fresh.intervals is fresh.intervals and fresh.jobs == twin.jobs
+
+        # one perturbed suspension span, invisible in the export
+        job = trace.jobs[-1]
+        job = dataclasses.replace(job, susp_spans=job.susp_spans + ((0, 0),))
+        bad = dataclasses.replace(trace, jobs=trace.jobs[:-1] + (job,))
+        engine = simulate_el(ts, pts, seq)
+        assert engine != bad and bad != engine and not engine == bad
+        assert export_trace(engine) == export_trace(bad)
+
+
+def test_trace_readers_build_no_objects(monkeypatch):
+    # The readers work on the rows alone: with the record types out of
+    # reach they still run, and the trace caches no objects.
+    rng = random.Random(6_161)
+    for _ in range(30):
+        ts, pts, seq, _ = _random_trace(rng)
+        trace = simulate_el(ts, pts, seq)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "Interval", None)
+            m.setattr(simulator, "JobRecord", None)
+            _read_all(trace, ts, pts)
+            assert trace == simulate_el(ts, pts, seq)
+        assert set(vars(trace)) == {"horizon", "_rows", "_job_rows"}
 
 
 def test_response_times_exclude_unfinished_jobs():
