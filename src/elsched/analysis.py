@@ -15,18 +15,31 @@ baseline) is its single stage that starts at the release, with the count
 of the analyzed task's own jobs left uncapped.  TESTS names the three
 tests a policy is combined with, and run_test runs one of them by name.
 
-The search takes three shortcuts, each exact: it returns every verdict,
+The search takes four shortcuts, each exact: it returns every verdict,
 bound, offset and pass count that rescanning every task and stage from
-scratch would.  A task's outcome is a function of the other tasks'
-bounds, so a task is recomputed only after one of them changed.  Every
-window total is non-decreasing in every other task's bound, so while no
-bound has risen, no stage minimum can rise, and a stage scan starts just
-above its last minimum: with the strict-< first-minimum rule it still
-ends on the same least value at the same first offset.  Before each
-reach-back stage, a floor bounds every total within the period in the
-stages left, from below (each ceiling term is at least its argument);
-a floor above the period means the task fails there, as it would after
-scanning every stage.
+scratch, offset by offset, would.  A task's outcome is a function of the
+other tasks' bounds, so a task is recomputed only after one of them
+changed.  Every window total is non-decreasing in every other task's
+bound, so while no bound has risen, no stage minimum can rise, and a
+stage scan starts just above its last minimum: with the strict-<
+first-minimum rule it still ends on the same least value at the same
+first offset.  Before each reach-back stage, a floor bounds every total
+within the period in the stages left, from below (each ceiling term is
+at least its argument); a floor above the period means the task fails
+there, as it would after scanning every stage.
+
+Within a stage, the grid offsets are scanned as ranges of indices, depth
+first and left to right.  A window total at offset b is b plus an own-job
+term and one ceiling term per interferer, and neither kind of term rises
+with b.  So over offsets b_lo..b_hi every total is at least b_lo plus
+those terms taken at b_hi.  The scan evaluates a range's first offset,
+then bounds the rest of the range this way: a rest whose bound is no less
+than the least total found so far is dropped unvisited, any other is
+split in two halves, left half first.  Ranges are met in offset order,
+so a dropped range holds no total that would have replaced the minimum
+when a plain scan met it, and the scan ends on the same least total at
+the same first offset.  The cost of a stage grows with the ranges that
+can still hold a new minimum, not with the number of grid points.
 """
 
 from __future__ import annotations
@@ -62,9 +75,9 @@ class TestConfig:
     """Knobs shared by the iterative tests.
 
     eta: grid resolution as a fraction of each deadline (step is
-    max(1, round(eta * deadline)) ticks); depth: number of refinement
-    passes; max_a: largest number of extra periods the extended-window
-    test may reach back.
+    max(1, eta * deadline rounded to the nearest tick, halves up)
+    ticks); depth: number of refinement passes; max_a: largest number
+    of extra periods the extended-window test may reach back.
     """
 
     eta: Fraction = Fraction(1, 100)
@@ -112,10 +125,10 @@ def _grid_steps(D: Sequence[int], eta: Fraction) -> list[int]:
 
 
 def _caps(C: Sequence[int], D: Sequence[int], pp: Sequence[int]) -> list[list[int]]:
-    n = len(C)
+    # min(D_k - C_i, pp_k - pp_i), without a call per pair
     return [
-        [min(D[k] - C[i], pp[k] - pp[i]) for i in range(n)]
-        for k in range(n)
+        [d - c if d - c < p - q else p - q for c, q in zip(C, pp)]
+        for d, p in zip(D, pp)
     ]
 
 
@@ -175,7 +188,7 @@ def _window_core(
     # the analyzed release) from -a * T_k up to D_k.  The fixed window is
     # the single stage a = 0 with an uncapped own-job count; the extended
     # window caps that count at a + 1 and reaches back one stage at a time
-    # until a stage bound fits within the period.  The three shortcuts
+    # until a stage bound fits within the period.  The four shortcuts
     # (see the module docstring) are marked where they are taken.
     n = len(C)
     order = _deadline_descending(D)
@@ -231,11 +244,21 @@ def _window_core(
                 # total is at most last[a] and is found from just above it.
                 best = last[a] + 1 if a < len(last) else Dk + 1
                 best_b = 0
-                b = -a * Tk
-                while b < Dk:
-                    # every candidate is at least b + wcet + suspension
-                    if b + csk >= best:
-                        break
+                # grid offsets b = base + j * step, j = 0.. while b < D_k,
+                # scanned as ranges of j, depth first and left to right
+                base = -a * Tk
+                stack = [(0, (Dk - 1 - base) // step)]
+                while stack:
+                    lo, hi = stack.pop()
+                    # every candidate is at least b + wcet + suspension, so
+                    # only b + csk < best can win; the ranges still stacked
+                    # lie further right, so once none is left here, none is
+                    cut = (best - csk - base - 1) // step
+                    if hi > cut:
+                        hi = cut
+                        if lo > hi:
+                            break
+                    b = base + lo * step
                     own = -(-(Dk - b) // Tk)
                     if own > own_cap:
                         own = own_cap
@@ -250,7 +273,34 @@ def _window_core(
                         else:
                             best = total
                             best_b = b
-                    b += step
+                    if lo >= hi:
+                        continue
+                    # the rest lo + 1..hi: the own count and every ceiling
+                    # only fall as b rises, so each total there is at least
+                    # its least b plus those terms at its greatest b.  A
+                    # rest with no total below best cannot move the minimum
+                    lo += 1
+                    b_hi = base + hi * step
+                    own = -(-(Dk - b_hi) // Tk)
+                    if own > own_cap:
+                        own = own_cap
+                    total = own * csk + b + step
+                    if total < best:
+                        for ar, ti, ci in terms:
+                            num = ar - b_hi
+                            if num > 0:
+                                total += -(-num // ti) * ci
+                                if total >= best:
+                                    break
+                        else:
+                            if lo == hi:
+                                # one offset left: the bound is its total
+                                best = total
+                                best_b = b_hi
+                            else:
+                                mid = (lo + hi) // 2
+                                stack.append((mid + 1, hi))
+                                stack.append((lo, mid))
                 if best > Dk:
                     break
                 stage_best.append(best)

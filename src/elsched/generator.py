@@ -36,12 +36,13 @@ def _uunifast_ratios(
     u_i = a_i * u_num / (A * u_den) is the exact rescale to the target.
 
     A split with a part at 0.0 is redrawn, at most `_MAX_REDRAWS` times:
-    a total that (nearly) underflows in floating point never splits
-    into positive parts.
+    a total that nearly underflows in floating point never splits into
+    positive parts.  A total whose float is 0.0 gives up before any draw.
     """
-    for _ in range(_MAX_REDRAWS + 1):
+    total = u_num / u_den
+    for _ in range(_MAX_REDRAWS + 1 if total > 0.0 else 0):
         parts: list[float] = []
-        remaining = u_num / u_den
+        remaining = total
         for k in range(1, n):
             nxt = remaining * rng.random() ** (1.0 / (n - k))
             parts.append(remaining - nxt)
@@ -52,7 +53,7 @@ def _uunifast_ratios(
     else:
         raise ValueError(
             f"gave up after {_MAX_REDRAWS} utilization redraws: no split of "
-            f"{u_num / u_den!r} into {n} positive floats"
+            f"{total!r} into {n} positive floats"
         )
     ratios = [p.as_integer_ratio() for p in parts]
     common = max(d for _, d in ratios)

@@ -257,6 +257,35 @@ def test_underflowing_target_gives_up_with_value_error(monkeypatch):
             uunifast(2, total, random.Random(0))
 
 
+class _NoDraws(random.Random):
+    def random(self):
+        raise AssertionError("drew a random number")
+
+
+class _CountingDraws(random.Random):
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def test_zero_float_target_gives_up_before_any_draw():
+    # 1/10**400 is 0.0 as a float: no draw can split it, so none is made
+    for n in (1, 2, 10):
+        with pytest.raises(ValueError, match="gave up after 100000 utilization redraws"):
+            uunifast(n, Fraction(1, 10**400), _NoDraws(0))
+
+
+def test_subnormal_target_still_spends_its_redraws(monkeypatch):
+    # the least subnormal is positive, so it is drawn, up to the limit
+    monkeypatch.setattr(generator, "_MAX_REDRAWS", 5)
+    rng = _CountingDraws(0)
+    with pytest.raises(ValueError, match="gave up after 5 utilization redraws"):
+        uunifast(2, 5e-324, rng)
+    assert rng.draws == 6
+
+
 def test_genspec_validation():
     good = dict(n=5, u_total=Fraction(1, 2), seed=0)
     GenSpec(**good)

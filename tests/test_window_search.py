@@ -1,11 +1,13 @@
 """Tests for the window search's shortcuts.
 
 The kernel recomputes a task only after another task's bound changed,
-starts each stage scan from that stage's last minimum, and fails a task
-early when a stage floor shows that no later stage can accept.  Each
-shortcut must leave every verdict, bound, offset and pass count as a
-plain scan gives them.  The oracle here is a test-local copy of the plain
-scan: every task on every pass, every stage from D_k + 1, no floors.
+starts each stage scan from that stage's last minimum, fails a task
+early when a stage floor shows that no later stage can accept, and skips
+offset ranges whose lower bound cannot beat the least total so far.
+Each shortcut must leave every verdict, bound, offset and pass count as
+a plain scan gives them.  The oracle here is a test-local copy of the
+plain scan: every task on every pass, every stage from D_k + 1, every
+grid offset in turn, no floors.
 The floor itself is checked against a brute-force minimum over every
 integer offset.
 """
@@ -166,6 +168,31 @@ def test_window_search_matches_plain_scan():
     assert compared >= 3000
 
 
+STEP_ONE = IterConfig(eta=Fraction(1, 100000))
+
+
+def test_window_search_matches_plain_scan_at_step_one():
+    # with one tick between offsets a stage holds thousands of them, and
+    # the scan drops ranges of many offsets at once on their bound
+    rng = random.Random(4_242)
+    compared = 0
+    for x in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
+        for n in (1, 2, 3, 5):
+            u = Fraction(rng.choice((35, 60, 80, 95)), 100)
+            ts = synthesize(GenSpec(n=n, u_total=u, seed=rng.randrange(2**32),
+                                    period_range=(1, 5), deadline_factor=x))
+            assert _grid_steps([t.deadline for t in ts], STEP_ONE.eta) == [1] * n
+            for kind in ("edf", "eqdf", "explicit"):
+                pts = derive_priority_points(ts, _policy(kind, ts, rng))
+                for name in ("fixed", "variable", "baseline"):
+                    got = run_test(name, ts, pts, STEP_ONE)
+                    assert repr(got) == repr(_plain_test(name, ts, pts, STEP_ONE)), (
+                        ts, kind, pts, name
+                    )
+                    compared += 1
+    assert compared == 144
+
+
 # An n = 5, D = 2T EDF set near U = 0.91 whose last task reaches back 8
 # stages and whose others fail at every stage: a plain scan at max_a = M
 # scans all M + 1 stages of each failing task, so its cost grows as M^2.
@@ -188,6 +215,26 @@ def test_floors_end_a_deep_reach_back_search():
     shallow = variable_test(DEEP, pts, IterConfig(max_a=30))
     assert repr(shallow) == repr(_plain_test("variable", DEEP, pts, IterConfig(max_a=30)))
     assert shallow == deep
+
+
+def test_fine_grid_analyses_finish_quickly():
+    # at one tick per offset a linear scan visits up to D_k offsets per
+    # stage, seconds for these 24 analyses; the range bound skips most
+    fine = []
+    for x, name in ((Fraction(1), "fixed"), (Fraction(2), "variable")):
+        for i, u in enumerate(range(30, 90, 5)):
+            ts = synthesize(GenSpec(n=10, u_total=Fraction(u, 100), seed=1000 + i,
+                                    deadline_factor=x))
+            fine.append((name, ts, derive_priority_points(ts, PriorityPolicy.edf())))
+    start = time.perf_counter()
+    results = [run_test(name, ts, pts, STEP_ONE) for name, ts, pts in fine]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    # the step-1 scan sees every offset the default grid sees, and here
+    # it accepts every set that grid accepts
+    coarse = [run_test(name, ts, pts) for name, ts, pts in fine]
+    assert all(f.verdict or not c.verdict for f, c in zip(results, coarse))
+    assert sum(r.verdict for r in results) == 10
 
 
 # --- the stage floor against brute force ------------------------------------------
