@@ -32,14 +32,17 @@ Within a stage, the grid offsets are scanned as ranges of indices, depth
 first and left to right.  A window total at offset b is b plus an own-job
 term and one ceiling term per interferer, and neither kind of term rises
 with b.  So over offsets b_lo..b_hi every total is at least b_lo plus
-those terms taken at b_hi.  The scan evaluates a range's first offset,
-then bounds the rest of the range this way: a rest whose bound is no less
-than the least total found so far is dropped unvisited, any other is
-split in two halves, left half first.  Ranges are met in offset order,
-so a dropped range holds no total that would have replaced the minimum
-when a plain scan met it, and the scan ends on the same least total at
-the same first offset.  The cost of a stage grows with the ranges that
-can still hold a new minimum, not with the number of grid points.
+those terms taken at b_hi, and for a single offset that bound is its
+total.  The scan evaluates this one bound per range: a range whose bound
+is no less than the least total found so far is dropped unvisited, a
+single offset below it is the new minimum, and any other range is split
+into its first offset and two halves of the rest, met in that order, so
+a low minimum is found as early as offset by offset.  Ranges are met in
+offset order, so a dropped range holds no total that would have replaced
+the minimum when a plain scan met it, and the scan ends on the same
+least total at the same first offset.  The cost of a stage grows with
+the ranges that can still hold a new minimum, not with the number of
+grid points.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import PriorityPolicy, TaskSet, _round_ratio, derive_priority_points
+from .model import (
+    PriorityPolicy, TaskSet, _integral_points, _round_ratio, derive_priority_points,
+)
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -246,8 +251,9 @@ def _window_core(
                 best_b = 0
                 # grid offsets b = base + j * step, j = 0.. while b < D_k,
                 # scanned as ranges of j, depth first and left to right
+                # (a zero deadline has none at stage 0)
                 base = -a * Tk
-                stack = [(0, (Dk - 1 - base) // step)]
+                stack = [(0, (Dk - 1 - base) // step)] if Dk > base else []
                 while stack:
                     lo, hi = stack.pop()
                     # every candidate is at least b + wcet + suspension, so
@@ -258,33 +264,15 @@ def _window_core(
                         hi = cut
                         if lo > hi:
                             break
-                    b = base + lo * step
-                    own = -(-(Dk - b) // Tk)
-                    if own > own_cap:
-                        own = own_cap
-                    total = own * csk + b
-                    if total < best:
-                        for ar, ti, ci in terms:
-                            num = ar - b
-                            if num > 0:
-                                total += -(-num // ti) * ci
-                                if total >= best:
-                                    break
-                        else:
-                            best = total
-                            best_b = b
-                    if lo >= hi:
-                        continue
-                    # the rest lo + 1..hi: the own count and every ceiling
-                    # only fall as b rises, so each total there is at least
-                    # its least b plus those terms at its greatest b.  A
-                    # rest with no total below best cannot move the minimum
-                    lo += 1
+                    # the own count and every ceiling only fall as b rises,
+                    # so each total in the range is at least its least b
+                    # plus those terms at its greatest b: for one offset,
+                    # its total.  A range bounded at best cannot move it
                     b_hi = base + hi * step
                     own = -(-(Dk - b_hi) // Tk)
                     if own > own_cap:
                         own = own_cap
-                    total = own * csk + b + step
+                    total = own * csk + base + lo * step
                     if total < best:
                         for ar, ti, ci in terms:
                             num = ar - b_hi
@@ -294,13 +282,15 @@ def _window_core(
                                     break
                         else:
                             if lo == hi:
-                                # one offset left: the bound is its total
                                 best = total
                                 best_b = b_hi
                             else:
-                                mid = (lo + hi) // 2
-                                stack.append((mid + 1, hi))
-                                stack.append((lo, mid))
+                                # its first offset alone first, then halves
+                                mid = (lo + 1 + hi) // 2
+                                if mid < hi:
+                                    stack.append((mid + 1, hi))
+                                stack.append((lo + 1, mid))
+                                stack.append((lo, lo))
                 if best > Dk:
                     break
                 stage_best.append(best)
@@ -346,7 +336,7 @@ def _arrays(ts: TaskSet) -> tuple[list[int], list[int], list[int], list[int]]:
 def _check_points(ts: TaskSet, rel_points: Sequence[int]) -> list[int]:
     if len(ts) == 0:
         raise ValueError("cannot analyze an empty task set")
-    pts = [int(p) for p in rel_points]
+    pts = _integral_points(rel_points)
     if len(pts) != len(ts):
         raise ValueError(
             f"{len(pts)} priority points for a set of {len(ts)} tasks"

@@ -15,6 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -37,10 +38,15 @@ def _uunifast_ratios(
 
     A split with a part at 0.0 is redrawn, at most `_MAX_REDRAWS` times:
     a total that nearly underflows in floating point never splits into
-    positive parts.  A total whose float is 0.0 gives up before any draw.
+    positive parts.  A total whose float is 0.0 fails before any draw.
     """
     total = u_num / u_den
-    for _ in range(_MAX_REDRAWS + 1 if total > 0.0 else 0):
+    if total == 0.0:
+        raise ValueError(
+            f"utilization {Decimal(u_num) / Decimal(u_den):.3g} is 0.0 as a float: "
+            f"no split into {n} positive floats"
+        )
+    for _ in range(_MAX_REDRAWS + 1):
         parts: list[float] = []
         remaining = total
         for k in range(1, n):

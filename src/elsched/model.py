@@ -34,6 +34,18 @@ def round_half_up(value: Fraction | int) -> int:
     return _round_ratio(value.numerator, value.denominator)
 
 
+def _integral_points(points: Sequence[int]) -> list[int]:
+    """The priority points as ints; ValueError names the first one that
+    is not an integer, so no point is silently truncated."""
+    pts = []
+    for p in points:
+        q = int(p)
+        if q != p:
+            raise ValueError(f"priority point {p!r} is not an integer")
+        pts.append(q)
+    return pts
+
+
 @dataclass(frozen=True)
 class Task:
     """One sporadic task: worst-case execution, total self-suspension,
@@ -153,7 +165,7 @@ class PriorityPolicy:
 
     @classmethod
     def explicit(cls, points: Sequence[int]) -> PriorityPolicy:
-        return cls("explicit", points=tuple(int(p) for p in points))
+        return cls("explicit", points=tuple(_integral_points(points)))
 
     def label(self) -> str:
         if self.kind in ("eqdf", "saedf"):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,16 @@ def test_fixed_rejects_empty_set():
 def test_fixed_rejects_mismatched_points():
     with pytest.raises(ValueError):
         fixed_test(WORKED, (5,))
+
+
+def test_analyses_reject_non_integral_points():
+    # a truncated point would certify a different policy from the one
+    # the simulator dispatches on; integral values of any type pass
+    for analyze in (fixed_test, variable_test, baseline_susp_obl):
+        for pts, bad in (((1.5, 2.9), "1.5"), ((4, Fraction(21, 2)), "Fraction(21, 2)")):
+            with pytest.raises(ValueError, match=rf"priority point {re.escape(bad)} is not"):
+                analyze(WORKED, pts)
+        assert analyze(WORKED, (Fraction(4), 10.0)) == analyze(WORKED, (4, 10))
 
 
 def test_fixed_rejects_overloaded_set():

@@ -170,13 +170,12 @@ def test_generate_infeasible_target_exits_two(monkeypatch, capsys):
     assert err.startswith("error: gave up after 6 utilization redraws")
 
 
-def test_generate_underflowing_target_exits_two(monkeypatch, capsys):
+def test_generate_underflowing_target_exits_two(capsys):
     # 1e-400 is a positive rational whose float is 0.0: no split into
-    # positive parts exists, so the redraws end at the (lowered) limit
-    monkeypatch.setattr(generator, "_MAX_REDRAWS", 5)
+    # positive parts exists, so generation fails before any redraw
     assert main(["generate", "--n", "2", "--u", "1e-400"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: gave up after 5 utilization redraws")
+    assert err.startswith("error: utilization 1e-400 is 0.0 as a float: no split into 2")
 
 
 def test_generate_analyze_round_trip(tmp_path, capsys):

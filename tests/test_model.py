@@ -182,6 +182,12 @@ def test_explicit_points_pass_through():
     assert derive_priority_points(WORKED_SET, pol) == (4, 10)
 
 
+def test_explicit_points_must_be_integral():
+    with pytest.raises(ValueError, match=r"priority point 2\.7 is not an integer"):
+        PriorityPolicy.explicit([1, 2.7])
+    assert PriorityPolicy.explicit([Fraction(4), 10.0]).points == (4, 10)
+
+
 def test_explicit_points_length_must_match():
     with pytest.raises(ValueError):
         derive_priority_points(WORKED_SET, PriorityPolicy.explicit((4,)))

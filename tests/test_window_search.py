@@ -3,11 +3,13 @@
 The kernel recomputes a task only after another task's bound changed,
 starts each stage scan from that stage's last minimum, fails a task
 early when a stage floor shows that no later stage can accept, and skips
-offset ranges whose lower bound cannot beat the least total so far.
+offset ranges whose lower bound cannot beat the least total so far: one
+bound per range, the exact total when the range is a single offset.
 Each shortcut must leave every verdict, bound, offset and pass count as
 a plain scan gives them.  The oracle here is a test-local copy of the
 plain scan: every task on every pass, every stage from D_k + 1, every
-grid offset in turn, no floors.
+grid offset in turn, no floors.  It is compared on synthesized sets and,
+through `hypothesis`, on hand-built tiny ones.
 The floor itself is checked against a brute-force minimum over every
 integer offset.
 """
@@ -33,6 +35,7 @@ from elsched import (
 from elsched import TestConfig as IterConfig  # alias: keep pytest collection away
 from elsched import test_variable as variable_test
 from elsched.analysis import (
+    TESTS,
     _caps,
     _deadline_descending,
     _grid_steps,
@@ -191,6 +194,41 @@ def test_window_search_matches_plain_scan_at_step_one():
                     )
                     compared += 1
     assert compared == 144
+
+
+def test_window_search_matches_plain_scan_on_tiny_sets_hypothesis():
+    # hand-built sets reach the edges synthesized ones miss: zero wcet or
+    # suspension, wcet == deadline (a zero deadline included), equal
+    # deadlines, and offset grids of one to D_k ticks per step
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        tasks = []
+        for _ in range(draw(st.integers(1, 4))):
+            period = draw(st.integers(1, 30))
+            wcet = draw(st.integers(0, period))
+            deadline = draw(st.integers(wcet, 3 * period))
+            if tasks and tasks[-1].deadline >= wcet and draw(st.booleans()):
+                deadline = tasks[-1].deadline
+            tasks.append(Task(wcet, draw(st.integers(0, period)), deadline, period))
+        ts = TaskSet(tuple(tasks))
+        kind = draw(st.sampled_from(POLICY_KINDS))
+        policy = _policy(kind, ts, draw(st.randoms(use_true_random=False)))
+        name = draw(st.sampled_from(TESTS))
+        eta = draw(st.sampled_from((Fraction(1), Fraction(1, 7), Fraction(1, 100000))))
+        return ts, derive_priority_points(ts, policy), name, IterConfig(eta=eta)
+
+    @hypothesis.settings(max_examples=1500, deadline=None, database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((TaskSet((Task(0, 0, 0, 5), Task(1, 0, 4, 4))), (0, 4), "fixed",
+                         IterConfig()))
+    def check(case):
+        ts, pts, name, cfg = case
+        assert repr(run_test(name, ts, pts, cfg)) == repr(_plain_test(name, ts, pts, cfg))
+
+    check()
 
 
 # An n = 5, D = 2T EDF set near U = 0.91 whose last task reaches back 8
