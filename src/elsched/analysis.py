@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import (
-    PriorityPolicy, TaskSet, _integral_points, _round_ratio, derive_priority_points,
+    PriorityPolicy, TaskSet, _check_points, _round_ratio, derive_priority_points,
 )
 
 
@@ -325,23 +325,20 @@ def _window_core(
     return AnalysisResult(solved, tuple(rb), tuple(offs), iters)
 
 
-def _arrays(ts: TaskSet) -> tuple[list[int], list[int], list[int], list[int]]:
-    C = [t.wcet for t in ts]
-    S = [t.suspension for t in ts]
-    D = [t.deadline for t in ts]
-    T = [t.period for t in ts]
-    return C, S, D, T
-
-
-def _check_points(ts: TaskSet, rel_points: Sequence[int]) -> list[int]:
+def _analyze(
+    ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None,
+    reach_back: bool, inflate: bool = False,
+) -> AnalysisResult:
+    """The window search behind every test: `reach_back` for the extended
+    window, `inflate` to fold each suspension into the execution budget."""
     if len(ts) == 0:
         raise ValueError("cannot analyze an empty task set")
-    pts = _integral_points(rel_points)
-    if len(pts) != len(ts):
-        raise ValueError(
-            f"{len(pts)} priority points for a set of {len(ts)} tasks"
-        )
-    return pts
+    pts = _check_points(ts, rel_points)
+    C, S, D, T = zip(*(t.as_tuple() for t in ts))
+    if inflate:
+        C = [c + s for c, s in zip(C, S)]
+        S = [0] * len(ts)
+    return _window_core(C, S, D, T, pts, config or DEFAULT_CONFIG, reach_back)
 
 
 def test_fixed(
@@ -351,10 +348,7 @@ def test_fixed(
     deadline.  Sound and sufficient: verdict True certifies that every
     job meets its deadline under the given relative priority points.
     """
-    cfg = config or DEFAULT_CONFIG
-    pts = _check_points(ts, rel_points)
-    C, S, D, T = _arrays(ts)
-    return _window_core(C, S, D, T, pts, cfg, reach_back=False)
+    return _analyze(ts, rel_points, config, reach_back=False)
 
 
 def test_variable(
@@ -365,10 +359,7 @@ def test_variable(
     deadlines exceed periods.  On task sets whose deadlines never exceed
     their periods it returns exactly the fixed-window result.
     """
-    cfg = config or DEFAULT_CONFIG
-    pts = _check_points(ts, rel_points)
-    C, S, D, T = _arrays(ts)
-    return _window_core(C, S, D, T, pts, cfg, reach_back=True)
+    return _analyze(ts, rel_points, config, reach_back=True)
 
 
 def test_tfp(
@@ -389,11 +380,7 @@ def baseline_susp_obl(
     The inflated budget may exceed a deadline; such tasks simply fail
     refinement, so the verdict stays sound.
     """
-    cfg = config or DEFAULT_CONFIG
-    pts = _check_points(ts, rel_points)
-    C, S, D, T = _arrays(ts)
-    inflated = [c + s for c, s in zip(C, S)]
-    return _window_core(inflated, [0] * len(ts), D, T, pts, cfg, reach_back=False)
+    return _analyze(ts, rel_points, config, reach_back=False, inflate=True)
 
 
 # --- test registry -----------------------------------------------------------

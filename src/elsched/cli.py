@@ -19,11 +19,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import experiments
-from .analysis import TESTS, TestConfig, result_csv_header, result_csv_row, run_test
+from .analysis import (
+    DEFAULT_CONFIG, TESTS, TestConfig, result_csv_header, result_csv_row, run_test,
+)
 from .experiments import LambdaSweepConfig, PolicyChoice, SweepConfig
 from .generator import BatchEntry, GenSpec, dump_batch, synthesize_counting
 from .model import (
     POLICY_KINDS,
+    WEIGHTED_KINDS,
     PriorityPolicy,
     TasksetFormatError,
     format_taskset_text,
@@ -54,9 +57,9 @@ def _policy(
 ) -> PriorityPolicy:
     """The policy a name stands for, in --policy and in the "policy"
     field of sweep configs alike."""
-    if name in ("eqdf", "saedf"):
+    if name in WEIGHTED_KINDS:
         if weight is None:
-            raise ValueError(f"policy {name} requires a weight (--lambda)")
+            raise ValueError(f'policy {name} requires a weight (--lambda or "lambda")')
         return PriorityPolicy(name, weight=weight)
     return PriorityPolicy(name, points=points)
 
@@ -87,14 +90,14 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=_fraction, default=Fraction(1, 100),
+    p.add_argument("--eta", type=_fraction, default=DEFAULT_CONFIG.eta,
                    help="window grid resolution as a fraction of the deadline "
-                        "(default: 0.01)")
-    p.add_argument("--depth", type=int, default=5,
-                   help="refinement passes (default: 5)")
-    p.add_argument("--max-a", type=int, default=10,
+                        f"(default: {float(DEFAULT_CONFIG.eta):g})")
+    p.add_argument("--depth", type=int, default=DEFAULT_CONFIG.depth,
+                   help="refinement passes (default: %(default)s)")
+    p.add_argument("--max-a", type=int, default=DEFAULT_CONFIG.max_a,
                    help="extra periods the variable-window test may reach back "
-                        "(default: 10)")
+                        "(default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,9 +216,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     ts = load_taskset(args.taskset)
-    if len(ts) == 0:
-        print("error: empty task set", file=sys.stderr)
-        return 2
     pts = derive_priority_points(ts, _policy_from_args(args))
     horizon = args.horizon
     if horizon is None:
@@ -252,8 +252,7 @@ def _integer(value: object, what: str, lo: int | None = None) -> int:
     return int(f)
 
 
-def _json_list(obj: dict, key: str, default: list) -> list:
-    value = obj.get(key, default)
+def _json_list(value: object, key: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a list, got {value!r}")
     return value
@@ -263,14 +262,13 @@ def _policy_from_json(obj: object) -> PolicyChoice:
     if not isinstance(obj, dict):
         raise ValueError(f"a policy entry must be an object, got {obj!r}")
     name = obj.get("policy", "edf")
-    weight = _fraction(obj["lambda"]) if "lambda" in obj else Fraction(0)
-    return PolicyChoice(obj.get("label", name), _policy(name, weight), obj.get("test", "fixed"))
+    weight = _fraction(obj["lambda"]) if "lambda" in obj else None
+    return PolicyChoice(
+        obj.get("label", name), _policy(name, weight), obj.get("test", PolicyChoice.test)
+    )
 
 
-def _utilizations_from_json(obj: dict) -> tuple[Fraction, ...]:
-    if "utilizations" in obj:
-        return tuple(_fraction(u) for u in _json_list(obj, "utilizations", []))
-    grid = obj.get("utilization_pct", {"lo": 5, "hi": 100, "step": 5})
+def _utilization_pct(grid: object) -> tuple[Fraction, ...]:
     try:
         return experiments.utilization_grid(grid["lo"], grid["hi"], grid["step"])
     except (KeyError, TypeError) as exc:
@@ -279,29 +277,43 @@ def _utilizations_from_json(obj: dict) -> tuple[Fraction, ...]:
         ) from exc
 
 
-def _sweep_config(path: str, name: str) -> tuple[dict, dict]:
-    """A sweep config's JSON object and, checked, the fields both sweeps
-    share."""
+def _period_range(value: object) -> tuple:
+    periods = _json_list(value, "period_range")
+    if len(periods) != 2 or not all(type(p) in (int, float) for p in periods):
+        raise ValueError(f"period_range needs two numbers, got {periods!r}")
+    return tuple(periods)
+
+
+def _given(obj: dict, readers: dict) -> dict:
+    """Each key of `readers` that `obj` gives, read by its reader."""
+    return {key: read(obj[key]) for key, read in readers.items() if key in obj}
+
+
+def _sweep_config(path: str, own: dict) -> dict:
+    """The fields a sweep config file gives, checked: those both sweeps
+    share and those the `own` readers read.  The sweep's config class
+    fills in every field the file omits."""
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise ValueError("a sweep config must be a JSON object")
-    periods = _json_list(obj, "period_range", [1, 100])
-    if len(periods) != 2 or not all(type(p) in (int, float) for p in periods):
-        raise ValueError(f"period_range needs two numbers, got {periods!r}")
-    return obj, dict(
-        name=obj.get("name", name),
-        master_seed=_integer(obj.get("master_seed", 0), "master_seed"),
-        utilizations=_utilizations_from_json(obj),
-        sets_per_point=_integer(obj.get("sets_per_point", 100), "sets_per_point", 1),
-        n=_integer(obj.get("n", 10), "n", 1),
-        deadline_factors=tuple(_fraction(x) for x in _json_list(obj, "deadline_factors", ["1"])),
-        period_range=tuple(periods),
-        test_config=TestConfig(
-            eta=_fraction(obj.get("eta", "1/100")),
-            depth=_integer(obj.get("depth", 5), "depth"),
-            max_a=_integer(obj.get("max_a", 10), "max_a"),
-        ),
-    )
+    fields = _given(obj, {
+        "name": lambda v: v,
+        "master_seed": lambda v: _integer(v, "master_seed"),
+        "utilizations": lambda v: tuple(map(_fraction, _json_list(v, "utilizations"))),
+        "sets_per_point": lambda v: _integer(v, "sets_per_point", 1),
+        "n": lambda v: _integer(v, "n", 1),
+        "deadline_factors": lambda v: tuple(map(_fraction, _json_list(v, "deadline_factors"))),
+        "period_range": _period_range,
+        **own,
+    })
+    if "utilizations" not in obj and "utilization_pct" in obj:
+        fields["utilizations"] = _utilization_pct(obj["utilization_pct"])
+    fields["test_config"] = TestConfig(**_given(obj, {
+        "eta": _fraction,
+        "depth": lambda v: _integer(v, "depth"),
+        "max_a": lambda v: _integer(v, "max_a"),
+    }))
+    return fields
 
 
 def _write_sweep(rows: list[dict], cfg: SweepConfig | LambdaSweepConfig, outdir: str) -> int:
@@ -312,21 +324,18 @@ def _write_sweep(rows: list[dict], cfg: SweepConfig | LambdaSweepConfig, outdir:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    obj, common = _sweep_config(args.config, "acceptance")
-    policies = tuple(map(_policy_from_json, _json_list(obj, "policies", [{"policy": "edf"}])))
-    cfg = SweepConfig(**common, policies=policies)
+    cfg = SweepConfig(**_sweep_config(args.config, {
+        "policies": lambda v: tuple(map(_policy_from_json, _json_list(v, "policies"))),
+    }))
     return _write_sweep(experiments.acceptance_sweep(cfg), cfg, args.outdir)
 
 
 def _cmd_lambda_sweep(args: argparse.Namespace) -> int:
-    obj, common = _sweep_config(args.config, "lambda")
-    weights = _json_list(obj, "weights", list(range(-10, 11)))
-    if not weights:
-        raise ValueError("weights must not be empty")
-    cfg = LambdaSweepConfig(
-        **common, family=obj.get("family", "eqdf"), test=obj.get("test", "fixed"),
-        weights=tuple(_integer(w, "weight") for w in weights),
-    )
+    cfg = LambdaSweepConfig(**_sweep_config(args.config, {
+        "family": lambda v: v,
+        "test": lambda v: v,
+        "weights": lambda v: tuple(_integer(w, "weight") for w in _json_list(v, "weights")),
+    }))
     return _write_sweep(experiments.lambda_sweep(cfg), cfg, args.outdir)
 
 

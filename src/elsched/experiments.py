@@ -43,7 +43,7 @@ from .analysis import (
     run_test,
 )
 from .generator import GenSpec, synthesize
-from .model import PriorityPolicy, TaskSet, derive_priority_points
+from .model import WEIGHTED_KINDS, PriorityPolicy, TaskSet, derive_priority_points
 from .simulator import (
     generate_job_sequence,
     random_run_feasible,
@@ -120,6 +120,11 @@ def utilization_grid(lo_pct: int, hi_pct: int, step_pct: int) -> tuple[Fraction,
     return tuple(Fraction(p, 100) for p in range(lo_pct, hi_pct + 1, step_pct))
 
 
+def _need_cells(utilizations: Sequence[Fraction], deadline_factors: Sequence[Fraction]) -> None:
+    if not utilizations or not deadline_factors:
+        raise ValueError("a campaign needs a utilization and a deadline factor")
+
+
 @dataclass(frozen=True)
 class _Corpus:
     """The rule every campaign draws its sets by.  Set idx takes the
@@ -136,8 +141,7 @@ class _Corpus:
     suspension_factor_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1, 2))
 
     def __post_init__(self) -> None:
-        if not self.u_grid or not self.deadline_factors:
-            raise ValueError("a campaign needs a utilization and a deadline factor")
+        _need_cells(self.u_grid, self.deadline_factors)
 
     def taskset(self, u: Fraction, x: Fraction, seed: int) -> TaskSet:
         return synthesize(GenSpec(
@@ -174,12 +178,10 @@ def _default_policies() -> tuple[PolicyChoice, ...]:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Acceptance-ratio sweep over a utilization grid.
-
-    Desk scale by default (100 sets of 10 tasks per point); scale
-    sets_per_point/n up for full campaigns.
-    """
+class _SweepCells:
+    """What both sweeps share: one cell per (deadline factor,
+    utilization), each of sets_per_point synthesized sets of n tasks, and
+    the analysis knobs."""
 
     name: str = "acceptance"
     master_seed: int = 0
@@ -191,11 +193,25 @@ class SweepConfig:
     deadline_factors: tuple[Fraction, ...] = (Fraction(1),)
     period_range: tuple[float, float] = (1, 100)
     suspension_factor_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1, 2))
-    policies: tuple[PolicyChoice, ...] = field(default_factory=_default_policies)
     test_config: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self) -> None:
         _at_least(1, sets_per_point=self.sets_per_point, n=self.n)
+        _need_cells(self.utilizations, self.deadline_factors)
+
+
+@dataclass(frozen=True)
+class SweepConfig(_SweepCells):
+    """Acceptance-ratio sweep over a utilization grid.
+
+    Desk scale by default (100 sets of 10 tasks per point); scale
+    sets_per_point/n up for full campaigns.
+    """
+
+    policies: tuple[PolicyChoice, ...] = field(default_factory=_default_policies)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         labels = [p.label for p in self.policies]
         if len(set(labels)) != len(labels):
             raise ValueError(f"repeated policy label in {labels}")
@@ -236,7 +252,7 @@ def _count_cell(
 
 
 def _sweep(
-    cfg: SweepConfig | LambdaSweepConfig, choices: tuple[tuple[PriorityPolicy, str], ...],
+    cfg: _SweepCells, choices: tuple[tuple[PriorityPolicy, str], ...],
     labels: list[dict], workers: int | None,
 ) -> list[dict]:
     """One row per (deadline factor, utilization) cell and label: the
@@ -262,34 +278,26 @@ def acceptance_sweep(cfg: SweepConfig, workers: int | None = None) -> list[dict]
 
 
 @dataclass(frozen=True)
-class LambdaSweepConfig:
+class LambdaSweepConfig(_SweepCells):
     """Sweep of the priority-point weight for the weighted deadline
     policies.  For each cell the 'best' pseudo-weight accepts a set if
     any swept weight accepts it.
     """
 
-    family: str = "eqdf"
     name: str = "lambda"
-    master_seed: int = 0
-    utilizations: tuple[Fraction, ...] = field(
-        default_factory=lambda: utilization_grid(5, 100, 5)
-    )
+    family: str = "eqdf"
     weights: tuple[int, ...] = tuple(range(-10, 11))
-    sets_per_point: int = 100
-    n: int = 10
-    deadline_factors: tuple[Fraction, ...] = (Fraction(1),)
-    period_range: tuple[float, float] = (1, 100)
-    suspension_factor_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1, 2))
     test: str = "fixed"
-    test_config: TestConfig = field(default_factory=TestConfig)
 
     def __post_init__(self) -> None:
-        _at_least(1, sets_per_point=self.sets_per_point, n=self.n)
-        if self.family not in ("eqdf", "saedf"):
+        super().__post_init__()
+        if self.family not in WEIGHTED_KINDS:
             raise ValueError(f"unknown weighted family {self.family!r}")
         # weights are swept under a window test, never the baseline
         if self.test not in TESTS or self.test == "baseline":
             raise ValueError(f"unknown window test kind {self.test!r}")
+        if not self.weights:
+            raise ValueError("weights must not be empty")
         if len(set(self.weights)) != len(self.weights):
             raise ValueError(f"repeated weight in {list(self.weights)}")
 

@@ -111,10 +111,23 @@ class TaskSet:
         return sum((t.utilization for t in self.tasks), Fraction(0))
 
 
+def _check_points(ts: TaskSet, points: Sequence[int]) -> list[int]:
+    """The points of `ts` as ints, by the rule every analysis and simulation
+    entry applies: one integer per task, else ValueError."""
+    pts = _integral_points(points)
+    if len(pts) != len(ts):
+        raise ValueError(
+            f"one relative priority point per task required, got {len(pts)} for {len(ts)}"
+        )
+    return pts
+
+
 # Relative priority-point policies.  Each policy maps a task set to one
-# relative priority point per task; see derive_priority_points().
+# relative priority point per task; see derive_priority_points().  The
+# points of the weighted kinds take a weight.
 
 POLICY_KINDS = ("edf", "fifo", "eqdf", "saedf", "tfp", "dm", "explicit")
+WEIGHTED_KINDS = ("eqdf", "saedf")
 
 
 @dataclass(frozen=True)
@@ -168,7 +181,7 @@ class PriorityPolicy:
         return cls("explicit", points=tuple(_integral_points(points)))
 
     def label(self) -> str:
-        if self.kind in ("eqdf", "saedf"):
+        if self.kind in WEIGHTED_KINDS:
             return f"{self.kind}[{self.weight}]"
         return self.kind
 
@@ -190,7 +203,7 @@ def derive_priority_points(ts: TaskSet, policy: PriorityPolicy) -> tuple[int, ..
         return tuple(t.deadline for t in ts)
     if policy.kind == "fifo":
         return tuple(0 for _ in ts)
-    if policy.kind in ("eqdf", "saedf"):
+    if policy.kind in WEIGHTED_KINDS:
         # D + (p / q) * X rounds as (q * D + p * X) / q
         w = Fraction(policy.weight)
         p, q = w.numerator, w.denominator
@@ -209,11 +222,7 @@ def derive_priority_points(ts: TaskSet, policy: PriorityPolicy) -> tuple[int, ..
             pts[i] = acc
         return tuple(pts)
     assert policy.points is not None
-    if len(policy.points) != len(ts):
-        raise ValueError(
-            f"explicit points for {len(policy.points)} tasks, task set has {len(ts)}"
-        )
-    return policy.points
+    return tuple(_check_points(ts, policy.points))
 
 
 # --- line-oriented task-set files -------------------------------------------

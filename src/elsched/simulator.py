@@ -23,7 +23,7 @@ from math import log
 from operator import itemgetter
 from typing import Iterable, Sequence, TypeVar
 
-from .model import TaskSet
+from .model import TaskSet, _check_points
 
 RELEASE_MODELS = ("periodic", "sporadic-jittered")
 SUSPENSION_MODELS = ("none", "max-single-block", "random-phases")
@@ -254,7 +254,6 @@ _SUSP, _WAIT = -1, -2
 
 
 def _run_engine(
-    n_tasks: int,
     horizon: int,
     jobs: Sequence[_EngineJob],
     rel_points: Sequence[int],
@@ -282,12 +281,9 @@ def _run_engine(
     for r, g in enumerate(by_rank):
         rank[g] = r
 
-    task_jobs: list[list[int]] = [[] for _ in range(n_tasks)]
-    for g in range(nj):
-        task_jobs[job_task[g]].append(g)
-
-    ptr = [0] * n_tasks            # finished jobs per task
-    begun = [False] * nj
+    # events each job awaits before it begins: its release, and its
+    # predecessor's finish when the job before it is of its task
+    pending = [1 + (g > 0 and job_task[g - 1] == tid) for g, tid in enumerate(job_task)]
     hp = [0] * nj                  # current half-phase (see JobBehavior)
     rem = [0] * nj                 # ticks left in the current execute part
     finish: list[int | None] = [None] * nj
@@ -321,14 +317,10 @@ def _run_engine(
                         susp_spans[g].append((t, min(t + s, horizon)))
                     return
             finish[g] = t
-            tid = job_task[g]
-            ptr[tid] += 1
-            tl = task_jobs[tid]
-            if ptr[tid] < len(tl):
-                nxt = tl[ptr[tid]]
-                if not begun[nxt] and job_rel[nxt] <= t:
-                    begun[nxt] = True
-                    g = nxt
+            g += 1
+            if g < nj and job_task[g] == job_task[g - 1]:
+                pending[g] -= 1
+                if not pending[g]:
                     h = 0
                     continue
             return
@@ -342,10 +334,8 @@ def _run_engine(
         while rp < nj and rel_times[rp] == t:
             g = rel_order[rp]
             rp += 1
-            tid = job_task[g]
-            tl = task_jobs[tid]
-            if not begun[g] and ptr[tid] < len(tl) and tl[ptr[tid]] == g:
-                begun[g] = True
+            pending[g] -= 1
+            if not pending[g]:
                 advance(g, t, 0)
         while susp_ev and susp_ev[0][0] == t:
             _, g = heappop(susp_ev)
@@ -402,11 +392,10 @@ def _engine_jobs(seq: JobSequence) -> list[_EngineJob]:
 
 
 def _simulate(ts: TaskSet, rel_points: Sequence[int], seq: JobSequence) -> ScheduleTrace:
-    """`simulate_el` without its length check on `rel_points`."""
+    """`simulate_el` on points already checked."""
     if seq._drawn_for != ts:
         validate_sequence(ts, seq)
-    _, trace = _run_engine(len(ts), seq.horizon, _engine_jobs(seq), rel_points)
-    return trace
+    return _run_engine(seq.horizon, _engine_jobs(seq), rel_points)[1]
 
 
 def simulate_el(
@@ -415,13 +404,12 @@ def simulate_el(
     """Simulate dispatching by absolute priority points (release plus the
     task's relative point), smaller first, ties by (task, job index).
 
-    Raises ValueError if `seq` breaks the task model of `ts`
+    Raises ValueError unless `rel_points` holds one integer per task, as
+    the analysis requires, or if `seq` breaks the task model of `ts`
     (`validate_sequence`); a sequence `generate_job_sequence` drew for a
     task set equal to `ts` is valid by construction and is not checked.
     """
-    if len(rel_points) != len(ts):
-        raise ValueError("one relative priority point per task required")
-    return _simulate(ts, rel_points, seq)
+    return _simulate(ts, _check_points(ts, rel_points), seq)
 
 
 def simulate_tfp(ts: TaskSet, seq: JobSequence) -> ScheduleTrace:
@@ -594,10 +582,9 @@ def random_run_feasible(
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if len(rel_points) != len(ts):
-        raise ValueError("one relative priority point per task required")
+    pts = _check_points(ts, rel_points)
     jobs = _draw_jobs(ts, horizon, seed, release_model, suspension_model, demand_model)
-    finish, _ = _run_engine(len(ts), horizon, jobs, rel_points, record=False)
+    finish, _ = _run_engine(horizon, jobs, pts, record=False)
     return _deadlines_met(
         ts, horizon, ((j[0], j[2], f) for j, f in zip(jobs, finish))
     )
@@ -729,9 +716,8 @@ def measure_state_times(
     simulator returned (jobs in (task, index) order, the indices of a
     task consecutive from 0).
     """
+    pts = _check_points(ts, rel_points)
     n = len(ts)
-    if len(rel_points) != n:
-        raise ValueError("one relative priority point per task required")
     if not 0 <= task < n:
         raise ValueError(f"task {task} outside [0, {n})")
     interference = {i: 0 for i in range(n) if i != task}
@@ -747,7 +733,6 @@ def measure_state_times(
     if start < 0 or end > trace.horizon:
         raise ValueError("window must lie within [0, horizon]")
 
-    pts = list(rel_points)
     own = pts[task]
     ref_key = None
     if ref_index is not None:

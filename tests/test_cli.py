@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -319,10 +321,15 @@ def test_sweep_non_rational_config_value_exits_two(tmp_path, capsys, config):
     ("sweep", {"policies": [{"policy": "edf"}, {"policy": "edf", "test": "variable"}]},
      "repeated policy label in ['edf', 'edf']"),
     ("lambda-sweep", {"weights": [1, 1]}, "repeated weight in [1, 1]"),
+    ("sweep", {"policies": [{"policy": "eqdf"}]}, "policy eqdf requires a weight"),
+    ("sweep", {"utilizations": []}, "a campaign needs a utilization and a deadline factor"),
+    ("lambda-sweep", {"deadline_factors": []},
+     "a campaign needs a utilization and a deadline factor"),
 ], ids=["array", "lambda-array", "policy-string", "policies-object", "sets-zero",
         "sets-negative", "period-number", "period-text", "factors-number",
         "utilizations-number", "n-null", "depth-null", "weight-fraction", "weights-empty",
-        "label-repeated", "weight-repeated"])
+        "label-repeated", "weight-repeated", "lambda-missing", "utilizations-empty",
+        "factors-empty"])
 def test_sweep_malformed_config_exits_two(tmp_path, capsys, command, config, message):
     if isinstance(config, dict):
         config = {"utilizations": ["0.5"], "sets_per_point": 1, "n": 3, **config}
@@ -331,6 +338,23 @@ def test_sweep_malformed_config_exits_two(tmp_path, capsys, command, config, mes
     assert main([command, "--config", str(cfg), "-o", str(tmp_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, config, sweep", [
+    ("sweep", experiments.SweepConfig, experiments.acceptance_sweep),
+    ("lambda-sweep", experiments.LambdaSweepConfig, experiments.lambda_sweep),
+], ids=["sweep", "lambda-sweep"])
+def test_sweep_omitted_fields_take_library_defaults(tmp_path, capsys, command, config, sweep):
+    given = {"utilizations": ["0.5"], "sets_per_point": 2, "n": 3}
+    cfg = tmp_path / "min.json"
+    cfg.write_text(json.dumps(given))
+    assert main([command, "--config", str(cfg), "-o", str(tmp_path)]) == 0
+    written = Path(capsys.readouterr().out.strip())
+    expected = config(utilizations=(Fraction(1, 2),), sets_per_point=2, n=3)
+    assert written == experiments.sweep_csv_path(tmp_path, expected.name, 0)
+    library = tmp_path / "library.csv"
+    experiments.write_rows_csv(library, sweep(expected, workers=1))
+    assert written.read_bytes() == library.read_bytes()
 
 
 def test_sweep_dm_policy_matches_tfp_on_synthesized_sets(tmp_path, capsys):

@@ -266,6 +266,14 @@ def test_sweep_configs_reject_bad_sizes(config, size, value):
         config(**{size: value})
 
 
+@pytest.mark.parametrize("config", [SweepConfig, LambdaSweepConfig])
+@pytest.mark.parametrize("field", ["utilizations", "deadline_factors"])
+def test_sweep_configs_reject_empty_grids(config, field):
+    # a sweep without cells would return no rows, or a lone best row
+    with pytest.raises(ValueError, match="needs a utilization and a deadline factor"):
+        config(**{field: ()})
+
+
 # --- weight sweep ------------------------------------------------------------------
 
 
@@ -306,6 +314,8 @@ def test_lambda_sweep_config_validation():
         LambdaSweepConfig(test="baseline")
     with pytest.raises(ValueError, match="repeated weight"):
         LambdaSweepConfig(weights=(0, 1, 1))
+    with pytest.raises(ValueError, match="^weights must not be empty$"):
+        LambdaSweepConfig(weights=())
 
 
 # --- runtime benchmark ---------------------------------------------------------------

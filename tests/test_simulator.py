@@ -29,6 +29,7 @@ from elsched import (
     validate_sequence,
 )
 from elsched import simulator
+from elsched import test_fixed as fixed_test  # alias: keep pytest collection away
 from elsched.generator import TICKS_PER_MS
 from elsched.simulator import (
     DEMAND_MODELS,
@@ -531,9 +532,7 @@ def test_unrecorded_engine_matches_full_trace():
     verdicts = set()
     for _ in range(300):
         ts, pts, seq, trace = _random_trace(rng)
-        finish, no_trace = _run_engine(
-            len(ts), seq.horizon, _engine_jobs(seq), pts, record=False
-        )
+        finish, no_trace = _run_engine(seq.horizon, _engine_jobs(seq), pts, record=False)
         assert no_trace is None
         assert finish == [j.finish for j in trace.jobs]
         verdict = check_feasibility(trace, ts)
@@ -559,6 +558,40 @@ def test_random_run_feasible_rejects_bad_arguments():
         random_run_feasible(REF, (4,), 80, seed=1)
     with pytest.raises(ValueError):
         random_run_feasible(REF, REF_POINTS, 80, seed=1, release_model="poisson")
+
+
+def _run_entry(entry: str, ts: TaskSet, pts):
+    """One simulator entry on `ts`: the reference sequence for REF, no
+    jobs for an empty set."""
+    if entry == "simulate_el":
+        seq = reference_sequence() if len(ts) else JobSequence((), horizon=16)
+        return simulate_el(ts, pts, seq)
+    if entry == "random_run_feasible":
+        return random_run_feasible(ts, pts, 80, seed=1)
+    trace = simulate_el(REF, REF_POINTS, reference_sequence())
+    return measure_state_times(trace, ts, pts, 1, 0, 16)
+
+
+@pytest.mark.parametrize("entry", ["simulate_el", "random_run_feasible", "measure_state_times"])
+def test_simulator_entries_apply_the_analysis_point_rule(entry):
+    # one integer per task, as the analysis requires: no point is
+    # truncated or dispatched on as a fraction, and the text is the
+    # analysis's own
+    for pts in ((1.5, 2.9), (4, Fraction(21, 2)), (4,), (4, 10, 3)):
+        with pytest.raises(ValueError) as analysis_error:
+            fixed_test(REF, pts)
+        with pytest.raises(ValueError) as entry_error:
+            _run_entry(entry, REF, pts)
+        assert str(entry_error.value) == str(analysis_error.value)
+    with pytest.raises(ValueError, match="one relative priority point per task"):
+        _run_entry(entry, REF, (4,))
+    assert _run_entry(entry, REF, (4.0, Fraction(10))) == _run_entry(entry, REF, (4, 10))
+    # the empty-set refusal is the analysis's alone: no jobs still simulate
+    if entry == "simulate_el":
+        trace = _run_entry(entry, TaskSet(()), ())
+        assert [(iv.start, iv.end, iv.kind) for iv in trace.intervals] == [(0, 16, "wait")]
+    elif entry == "random_run_feasible":
+        assert _run_entry(entry, TaskSet(()), ()) is True
 
 
 def _running_at(trace, t):
@@ -639,18 +672,50 @@ def test_tfp_runs_the_highest_priority_ready_task():
     for _ in range(100):  # leading suspensions, zero-demand jobs
         ts, _, seq = _hand_built_case(rng)
         cases.append((ts, seq))
-    contended = 0
-    for ts, seq in cases:
-        trace = simulate_tfp(ts, seq)
-        for iv in trace.intervals:
-            for t in range(iv.start, iv.end):
-                ready = _ready_tasks(trace, t)
-                if iv.kind != "run":
-                    assert not ready, (iv, t)
-                    continue
-                assert iv.task in ready and min(ready) == iv.task, (iv, t, ready)
-                contended += len(ready) > 1
+    contended = sum(_strict_priority_contention(simulate_tfp(ts, seq)) for ts, seq in cases)
     assert contended > 0  # a lower-priority task was ready behind the runner
+
+
+def _strict_priority_contention(trace) -> int:
+    """Check a trace tick by tick against strict fixed priorities in task
+    order, without the engine's own dispatch rule: while a task-j job
+    runs no job of a task i < j is ready, and while the processor idles
+    no job is ready.  Returns the ticks with more than one task ready."""
+    contended = 0
+    for iv in trace.intervals:
+        for t in range(iv.start, iv.end):
+            ready = _ready_tasks(trace, t)
+            if iv.kind != "run":
+                assert not ready, (iv, t)
+                continue
+            assert iv.task in ready and min(ready) == iv.task, (iv, t, ready)
+            contended += len(ready) > 1
+    return contended
+
+
+def test_next_job_begins_at_the_tick_its_predecessor_finishes():
+    # Each task's second job is released at the tick its predecessor
+    # finishes: task 0's at the end of a run (the finish comes before
+    # the release is handled) and task 1's at the end of a suspension
+    # (the release is handled first).  A plan that ends in a suspension
+    # is not canonical, so this case goes to the engine directly.
+    horizon = 14
+    jobs = [
+        (0, 0, 0, ((3, 0),)),
+        (0, 1, 3, ((2, 0),)),
+        (1, 0, 0, ((1, 4),)),
+        (1, 1, 10, ((2, 0),)),
+    ]
+    points = [0, horizon]  # strict priorities: task 0 always wins
+    finish, trace = _run_engine(horizon, jobs, points)
+    assert finish == [3, 5, 10, 12]
+    assert [j.start for j in trace.jobs] == [0, 3, 5, 10]
+    assert [(iv.start, iv.end, iv.kind) for iv in trace.intervals] == [
+        (0, 3, "run"), (3, 5, "run"), (5, 6, "run"), (6, 10, "susp"),
+        (10, 12, "run"), (12, 14, "wait"),
+    ]
+    assert _strict_priority_contention(trace) > 0
+    assert _run_engine(horizon, jobs, points, record=False) == (finish, None)
 
 
 def test_simulation_is_deterministic():
