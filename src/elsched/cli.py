@@ -13,6 +13,7 @@ environment variable for their worker count.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +27,6 @@ from .experiments import LambdaSweepConfig, PolicyChoice, SweepConfig
 from .generator import BatchEntry, GenSpec, dump_batch, synthesize_counting
 from .model import (
     POLICY_KINDS,
-    WEIGHTED_KINDS,
     PriorityPolicy,
     TasksetFormatError,
     format_taskset_text,
@@ -52,28 +52,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _policy(
-    name: str, weight: Fraction | None, points: tuple[int, ...] | None = None
-) -> PriorityPolicy:
-    """The policy a name stands for, in --policy and in the "policy"
-    field of sweep configs alike."""
-    if name in WEIGHTED_KINDS:
-        if weight is None:
-            raise ValueError(f'policy {name} requires a weight (--lambda or "lambda")')
-        return PriorityPolicy(name, weight=weight)
-    return PriorityPolicy(name, points=points)
-
-
 def _policy_from_args(args: argparse.Namespace) -> PriorityPolicy:
     points = None
-    if args.policy == "explicit":
-        if not args.pp:
-            raise TasksetFormatError("policy explicit requires --pp")
+    if args.pp is not None:
         try:
             points = tuple(int(p) for p in args.pp.split(","))
         except ValueError as exc:
             raise TasksetFormatError(f"bad --pp list: {args.pp!r}") from exc
-    return _policy(args.policy, args.weight, points)
+    return PriorityPolicy(args.policy, args.weight, points)
 
 
 def _test_config(args: argparse.Namespace) -> TestConfig:
@@ -201,10 +187,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     pts = derive_priority_points(ts, policy)
     result = run_test(args.test, ts, pts, _test_config(args))
     taskset_id = args.id or Path(args.taskset).stem
-    label = f"explicit[{args.pp}]" if policy.kind == "explicit" else policy.label()
+    label = policy.label()
     if args.csv:
-        print(",".join(result_csv_header(len(ts))))
-        print(",".join(result_csv_row(taskset_id, label, result)))
+        rows = csv.writer(sys.stdout, lineterminator="\n")
+        rows.writerow(result_csv_header(len(ts)))
+        rows.writerow(result_csv_row(taskset_id, label, result))
     else:
         verdict = "schedulable" if result.verdict else "no decision"
         print(f"{taskset_id}: {verdict} ({label}, {args.test} window, "
@@ -216,7 +203,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     ts = load_taskset(args.taskset)
-    pts = derive_priority_points(ts, _policy_from_args(args))
+    policy = _policy_from_args(args)
+    pts = derive_priority_points(ts, policy)
     horizon = args.horizon
     if horizon is None:
         horizon = 20 * max(t.period for t in ts)
@@ -231,7 +219,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         Path(args.trace_out).write_text(export_trace(trace))
     per_job, per_task, unfinished = response_times(trace)
     feasible = check_feasibility(trace, ts)
-    print(f"horizon {horizon}, {len(seq.jobs)} jobs, "
+    print(f"{policy.label()}: horizon {horizon}, {len(seq.jobs)} jobs, "
           f"feasible: {'yes' if feasible else 'NO'}")
     for tid in range(len(ts)):
         worst = per_task.get(tid)
@@ -261,10 +249,12 @@ def _json_list(value: object, key: str) -> list:
 def _policy_from_json(obj: object) -> PolicyChoice:
     if not isinstance(obj, dict):
         raise ValueError(f"a policy entry must be an object, got {obj!r}")
-    name = obj.get("policy", "edf")
-    weight = _fraction(obj["lambda"]) if "lambda" in obj else None
+    entry = _given(obj, {
+        "policy": lambda v: v, "lambda": _fraction, "label": lambda v: v, "test": lambda v: v,
+    }, "policy entry")
+    policy = PriorityPolicy(entry.get("policy", "edf"), entry.get("lambda"))
     return PolicyChoice(
-        obj.get("label", name), _policy(name, weight), obj.get("test", PolicyChoice.test)
+        entry.get("label", policy.label()), policy, entry.get("test", PolicyChoice.test)
     )
 
 
@@ -284,18 +274,27 @@ def _period_range(value: object) -> tuple:
     return tuple(periods)
 
 
-def _given(obj: dict, readers: dict) -> dict:
-    """Each key of `readers` that `obj` gives, read by its reader."""
+def _given(obj: dict, readers: dict, what: str) -> dict:
+    """Each key of `readers` that `obj` gives, read by its reader.  A key
+    no reader reads is refused, so a misspelt field is never ignored."""
+    for key in obj:
+        if key not in readers:
+            raise ValueError(f"unknown {what} field {key!r}; known: {', '.join(readers)}")
     return {key: read(obj[key]) for key, read in readers.items() if key in obj}
 
 
 def _sweep_config(path: str, own: dict) -> dict:
     """The fields a sweep config file gives, checked: those both sweeps
-    share and those the `own` readers read.  The sweep's config class
-    fills in every field the file omits."""
+    share and those the `own` readers read; any other field is refused.
+    The sweep's config class fills in every field the file omits."""
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise ValueError("a sweep config must be a JSON object")
+    test_readers = {
+        "eta": _fraction,
+        "depth": lambda v: _integer(v, "depth"),
+        "max_a": lambda v: _integer(v, "max_a"),
+    }
     fields = _given(obj, {
         "name": lambda v: v,
         "master_seed": lambda v: _integer(v, "master_seed"),
@@ -304,15 +303,13 @@ def _sweep_config(path: str, own: dict) -> dict:
         "n": lambda v: _integer(v, "n", 1),
         "deadline_factors": lambda v: tuple(map(_fraction, _json_list(v, "deadline_factors"))),
         "period_range": _period_range,
+        "utilization_pct": _utilization_pct,
+        **test_readers,
         **own,
-    })
-    if "utilizations" not in obj and "utilization_pct" in obj:
-        fields["utilizations"] = _utilization_pct(obj["utilization_pct"])
-    fields["test_config"] = TestConfig(**_given(obj, {
-        "eta": _fraction,
-        "depth": lambda v: _integer(v, "depth"),
-        "max_a": lambda v: _integer(v, "max_a"),
-    }))
+    }, "sweep config")
+    if "utilization_pct" in fields:
+        fields.setdefault("utilizations", fields.pop("utilization_pct"))
+    fields["test_config"] = TestConfig(**{k: fields.pop(k) for k in test_readers if k in fields})
     return fields
 
 

@@ -166,6 +166,8 @@ class PolicyChoice:
     test: str = "fixed"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"a policy label must be a string, got {self.label!r}")
         if self.test not in TESTS:
             raise ValueError(f"unknown test kind {self.test!r}")
 
@@ -293,9 +295,8 @@ class LambdaSweepConfig(_SweepCells):
         super().__post_init__()
         if self.family not in WEIGHTED_KINDS:
             raise ValueError(f"unknown weighted family {self.family!r}")
-        # weights are swept under a window test, never the baseline
         if self.test not in TESTS or self.test == "baseline":
-            raise ValueError(f"unknown window test kind {self.test!r}")
+            raise ValueError(f"a weight sweep runs the fixed or variable test, got {self.test!r}")
         if not self.weights:
             raise ValueError("weights must not be empty")
         if len(set(self.weights)) != len(self.weights):
@@ -309,7 +310,7 @@ def lambda_sweep(cfg: LambdaSweepConfig, workers: int | None = None) -> list[dic
             "guaranteed to dominate the plain deadline policy",
             stacklevel=2,
         )
-    choices = tuple((PriorityPolicy(cfg.family, Fraction(w)), cfg.test) for w in cfg.weights)
+    choices = tuple((PriorityPolicy(cfg.family, w), cfg.test) for w in cfg.weights)
     labels = [{"family": cfg.family, "weight": str(w)} for w in (*cfg.weights, "best")]
     return _sweep(cfg, choices, labels, workers)
 

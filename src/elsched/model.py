@@ -140,17 +140,32 @@ class PriorityPolicy:
     cumulative-deadline points), 'dm' (deadline-monotonic fixed
     priorities, emulated the same way along deadline order), 'explicit'
     (caller-supplied points).
+
+    A weight is given exactly for 'eqdf' and 'saedf' and is kept as a
+    Fraction; points are given exactly for 'explicit' and are kept as
+    ints.  Any other combination raises ValueError, so no weight or
+    point is silently ignored.  label() names the policy: its kind, with
+    the weight or points in brackets (edf, eqdf[2], explicit[4,10]).
     """
 
     kind: str
-    weight: Fraction = Fraction(0)
+    weight: Fraction | None = None
     points: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "explicit" and self.points is None:
-            raise ValueError("explicit policy requires points")
+        weighted, explicit = self.kind in WEIGHTED_KINDS, self.kind == "explicit"
+        if weighted != (self.weight is not None):
+            raise ValueError(f"policy {self.kind} requires a weight" if weighted
+                             else f"policy {self.kind} takes no weight, got {self.weight}")
+        if explicit != (self.points is not None):
+            raise ValueError("policy explicit requires points" if explicit
+                             else f"policy {self.kind} takes no points, got {self.points}")
+        if weighted:
+            object.__setattr__(self, "weight", Fraction(self.weight))
+        if explicit:
+            object.__setattr__(self, "points", tuple(_integral_points(self.points)))
 
     @classmethod
     def edf(cls) -> PriorityPolicy:
@@ -162,11 +177,11 @@ class PriorityPolicy:
 
     @classmethod
     def eqdf(cls, weight: Fraction | int) -> PriorityPolicy:
-        return cls("eqdf", weight=Fraction(weight))
+        return cls("eqdf", weight)
 
     @classmethod
     def saedf(cls, weight: Fraction | int) -> PriorityPolicy:
-        return cls("saedf", weight=Fraction(weight))
+        return cls("saedf", weight)
 
     @classmethod
     def tfp(cls) -> PriorityPolicy:
@@ -178,11 +193,13 @@ class PriorityPolicy:
 
     @classmethod
     def explicit(cls, points: Sequence[int]) -> PriorityPolicy:
-        return cls("explicit", points=tuple(_integral_points(points)))
+        return cls("explicit", points=points)
 
     def label(self) -> str:
-        if self.kind in WEIGHTED_KINDS:
+        if self.weight is not None:
             return f"{self.kind}[{self.weight}]"
+        if self.points is not None:
+            return f"{self.kind}[{','.join(map(str, self.points))}]"
         return self.kind
 
 
@@ -205,8 +222,7 @@ def derive_priority_points(ts: TaskSet, policy: PriorityPolicy) -> tuple[int, ..
         return tuple(0 for _ in ts)
     if policy.kind in WEIGHTED_KINDS:
         # D + (p / q) * X rounds as (q * D + p * X) / q
-        w = Fraction(policy.weight)
-        p, q = w.numerator, w.denominator
+        p, q = policy.weight.numerator, policy.weight.denominator
         if policy.kind == "eqdf":
             return tuple(_round_ratio(q * t.deadline + p * t.wcet, q) for t in ts)
         return tuple(_round_ratio(q * t.deadline + p * t.suspension, q) for t in ts)
@@ -221,7 +237,6 @@ def derive_priority_points(ts: TaskSet, policy: PriorityPolicy) -> tuple[int, ..
             acc += tasks[i].deadline
             pts[i] = acc
         return tuple(pts)
-    assert policy.points is not None
     return tuple(_check_points(ts, policy.points))
 
 

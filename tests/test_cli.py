@@ -6,15 +6,22 @@ parsing, dispatch, exit codes, and the printed output together.
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from elsched import analysis, experiments, generator, load_taskset
+from elsched import (
+    PriorityPolicy, analysis, derive_priority_points, experiments, generator, load_taskset,
+)
 from elsched.cli import build_parser, main
+from elsched.model import POLICY_KINDS
 
 WORKED = "# el-sched taskset v1\n1 0 5 5\n2 1 16 16\n"
 REF = "# el-sched taskset v1\n2 0 5 5\n7 3 16 16\n"
@@ -325,11 +332,23 @@ def test_sweep_non_rational_config_value_exits_two(tmp_path, capsys, config):
     ("sweep", {"utilizations": []}, "a campaign needs a utilization and a deadline factor"),
     ("lambda-sweep", {"deadline_factors": []},
      "a campaign needs a utilization and a deadline factor"),
+    ("sweep", {"policies": [{"policy": "edf", "lambda": "2"}]},
+     "policy edf takes no weight, got 2"),
+    ("sweep", {"utilization": ["0.5"]}, "unknown sweep config field 'utilization'; known: "),
+    ("lambda-sweep", {"policies": []}, "unknown sweep config field 'policies'"),
+    ("sweep", {"family": "eqdf"}, "unknown sweep config field 'family'"),
+    ("sweep", {"policies": [{"policy": "edf", "tset": "variable"}]},
+     "unknown policy entry field 'tset'; known: policy, lambda, label, test"),
+    ("sweep", {"policies": [{"policy": "edf", "label": ["x"]}]},
+     "a policy label must be a string, got ['x']"),
+    ("lambda-sweep", {"test": "baseline"},
+     "a weight sweep runs the fixed or variable test, got 'baseline'"),
 ], ids=["array", "lambda-array", "policy-string", "policies-object", "sets-zero",
         "sets-negative", "period-number", "period-text", "factors-number",
         "utilizations-number", "n-null", "depth-null", "weight-fraction", "weights-empty",
         "label-repeated", "weight-repeated", "lambda-missing", "utilizations-empty",
-        "factors-empty"])
+        "factors-empty", "edf-lambda", "unknown-utilization", "unknown-lambda-policies",
+        "unknown-sweep-family", "unknown-entry-tset", "label-list", "lambda-baseline"])
 def test_sweep_malformed_config_exits_two(tmp_path, capsys, command, config, message):
     if isinstance(config, dict):
         config = {"utilizations": ["0.5"], "sets_per_point": 1, "n": 3, **config}
@@ -379,6 +398,153 @@ def test_sweep_dm_policy_matches_tfp_on_synthesized_sets(tmp_path, capsys):
         texts.append((outdir / "sweep_fp_4.csv").read_bytes())
     capsys.readouterr()
     assert texts[0] == texts[1]
+
+
+# --- the policy rule: flags and sweep entries ----------------------------------------
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with its exit code, stdout and stderr; argparse's own
+    refusals (SystemExit) count as exit codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_refused(code: int, err: str) -> None:
+    assert code == 2, err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_policy_flags_exit_two_or_print_the_policy_label(worked_file):
+    # the flags are refused exactly when their parse, PriorityPolicy or the
+    # point count refuses them; otherwise the printed label is the policy's
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ts = load_taskset(worked_file)
+    lambdas = st.one_of(st.none(), st.fractions(max_denominator=4).map(str), st.text(max_size=4))
+    pps = st.one_of(
+        st.none(),
+        st.lists(st.integers(-40, 40), min_size=1, max_size=3).map(
+            lambda ps: ",".join(map(str, ps))),
+        st.text(max_size=6),
+    )
+
+    def expected_label(kind: str, lam: str | None, pp: str | None) -> str | None:
+        try:
+            weight = None if lam is None else Fraction(lam)
+            points = None if pp is None else tuple(int(p) for p in pp.split(","))
+            policy = PriorityPolicy(kind, weight, points)
+            derive_priority_points(ts, policy)
+        except ValueError:
+            return None
+        return policy.label()
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(["analyze", "analyze-csv", "simulate"]),
+                      st.sampled_from(POLICY_KINDS), lambdas, pps)
+    def check(command, kind, lam, pp):
+        argv = [command.split("-")[0], str(worked_file), "--policy", kind]
+        argv += [] if lam is None else [f"--lambda={lam}"]
+        argv += [] if pp is None else [f"--pp={pp}"]
+        argv += {"analyze": [], "analyze-csv": ["--csv"], "simulate": ["--horizon", "40"]}[command]
+        code, out, err = _run(argv)
+        label = expected_label(kind, lam, pp)
+        if label is None:
+            _assert_refused(code, err)
+        elif command == "analyze":
+            assert code in (0, 1), err
+            assert f"({label}, fixed window, passes:" in out.splitlines()[0]
+        elif command == "analyze-csv":
+            assert code in (0, 1), err
+            assert list(csv.reader(io.StringIO(out)))[1][1] == label
+        else:
+            assert code == 0, err
+            assert out.startswith(f"{label}: horizon 40,")
+
+    check()
+
+
+def test_sweep_policy_entries_exit_two_or_write_their_label():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    absent = st.just(None)
+    entries = st.fixed_dictionaries({}, optional={
+        "policy": st.sampled_from([*POLICY_KINDS, "EDF", "", 3, None]),
+        "lambda": st.sampled_from(["2", "-1/2", 1, 0.5, "w", None, [1]]),
+        "label": st.sampled_from(["mine", "", ["x"], 5, {"a": 1}]),
+        "test": st.sampled_from([*analysis.TESTS, "exact", ["fixed"]]),
+        "tset": st.sampled_from(["variable"]),
+    })
+
+    def expected_label(entry: dict) -> str | None:
+        if not set(entry) <= {"policy", "lambda", "label", "test"}:
+            return None
+        try:
+            weight = Fraction(str(entry["lambda"])) if "lambda" in entry else None
+            policy = PriorityPolicy(entry.get("policy", "edf"), weight)
+        except ValueError:
+            return None
+        label = entry.get("label", policy.label())
+        ok = isinstance(label, str) and entry.get("test", "fixed") in analysis.TESTS
+        return label if ok else None
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(entries)
+    def check(entry):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "entry.json"
+            cfg.write_text(json.dumps({"utilizations": ["0.5"], "sets_per_point": 1, "n": 2,
+                                       "policies": [entry]}))
+            code, out, err = _run(["sweep", "--config", str(cfg), "-o", tmp])
+            label = expected_label(entry)
+            if label is None:
+                _assert_refused(code, err)
+                assert not list(Path(tmp).glob("*.csv"))
+            else:
+                assert code == 0, err
+                rows = list(csv.DictReader(io.StringIO(Path(out.strip()).read_text())))
+                assert [r["policy"] for r in rows] == [label]
+
+    check()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--policy", "edf", "--lambda", "2"],
+    ["--policy", "explicit", "--pp", "4,10", "--lambda", "3"],
+    ["--policy", "edf", "--pp", "4,10"],
+    ["--policy", "tfp", "--lambda", "0"],
+], ids=["edf-lambda", "explicit-lambda", "edf-pp", "tfp-lambda-zero"])
+def test_parameter_the_policy_does_not_take_exits_two(worked_file, capsys, extra):
+    # these ran the bare policy with exit 0 while the CLI kept its own rule
+    assert main(["analyze", str(worked_file), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: policy {extra[1]} takes no ")
+
+
+def test_unlabeled_weighted_entries_are_labeled_by_their_weight(tmp_path, capsys):
+    # both entries were labeled "eqdf" and refused as a repeated label
+    cfg = tmp_path / "eqdf.json"
+    cfg.write_text(json.dumps({
+        "utilizations": ["0.5"], "sets_per_point": 2, "n": 3,
+        "policies": [{"policy": "eqdf", "lambda": "1"}, {"policy": "eqdf", "lambda": "2"}],
+    }))
+    assert main(["sweep", "--config", str(cfg), "-o", str(tmp_path)]) == 0
+    written = Path(capsys.readouterr().out.strip())
+    rows = csv.DictReader(io.StringIO(written.read_text()))
+    assert [r["policy"] for r in rows] == ["eqdf[1]", "eqdf[2]"]
+
+
+def test_analyze_csv_quotes_an_explicit_label(ref_file, capsys):
+    assert main(["analyze", str(ref_file), "--policy", "explicit", "--pp", "4,10",
+                 "--csv", "--id", "r"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == 'r,"explicit[4,10]",0,2,5,15'
 
 
 # --- verify & bench ---------------------------------------------------------------

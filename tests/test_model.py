@@ -207,6 +207,35 @@ def test_policy_labels():
     assert PriorityPolicy.dm().label() == "dm"
 
 
+def test_explicit_label_names_its_points():
+    assert PriorityPolicy.explicit((4, 10)).label() == "explicit[4,10]"
+    assert PriorityPolicy.explicit([-3]).label() == "explicit[-3]"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "eqdf"}, "policy eqdf requires a weight"),
+    ({"kind": "saedf", "points": (1, 2)}, "policy saedf requires a weight"),
+    ({"kind": "edf", "weight": 2}, "policy edf takes no weight, got 2"),
+    ({"kind": "explicit", "weight": 0, "points": (1,)}, "policy explicit takes no weight"),
+    ({"kind": "explicit"}, "policy explicit requires points"),
+    ({"kind": "tfp", "points": (1, 2)}, r"policy tfp takes no points, got \(1, 2\)"),
+    ({"kind": "eqdf", "weight": 1, "points": (1,)}, "policy eqdf takes no points"),
+], ids=["eqdf-bare", "saedf-points", "edf-weight", "explicit-weight", "explicit-bare",
+        "tfp-points", "eqdf-points"])
+def test_policy_takes_exactly_its_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        PriorityPolicy(**kwargs)
+
+
+def test_policy_stores_weight_as_fraction_and_points_as_ints():
+    for weight, stored in ((2, Fraction(2)), (0.5, Fraction(1, 2)), ("-3/4", Fraction(-3, 4))):
+        policy = PriorityPolicy("saedf", weight)
+        assert type(policy.weight) is Fraction and policy.weight == stored
+    assert PriorityPolicy.eqdf(Fraction(6, 4)) == PriorityPolicy("eqdf", Fraction(3, 2))
+    policy = PriorityPolicy("explicit", points=[Fraction(4), 10.0])
+    assert policy.points == (4, 10) and all(type(p) is int for p in policy.points)
+
+
 def job_priority_point(release: int, rel_point: int) -> int:
     """Absolute priority point of a job released at `release`."""
     return release + rel_point
