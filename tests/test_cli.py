@@ -473,7 +473,6 @@ def test_policy_flags_exit_two_or_print_the_policy_label(worked_file):
 def test_sweep_policy_entries_exit_two_or_write_their_label():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    absent = st.just(None)
     entries = st.fixed_dictionaries({}, optional={
         "policy": st.sampled_from([*POLICY_KINDS, "EDF", "", 3, None]),
         "lambda": st.sampled_from(["2", "-1/2", 1, 0.5, "w", None, [1]]),
