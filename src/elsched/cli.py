@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -274,6 +275,15 @@ def _period_range(value: object) -> tuple:
     return tuple(periods)
 
 
+def _sweep_name(value: object) -> str:
+    # the name goes into the CSV file name (`sweep_csv_path`)
+    if not isinstance(value, str) or not value or "/" in value or "\\" in value:
+        raise ValueError(
+            f"a sweep name must be a non-empty string with no path separator, got {value!r}"
+        )
+    return value
+
+
 def _given(obj: dict, readers: dict, what: str) -> dict:
     """Each key of `readers` that `obj` gives, read by its reader.  A key
     no reader reads is refused, so a misspelt field is never ignored."""
@@ -296,7 +306,7 @@ def _sweep_config(path: str, own: dict) -> dict:
         "max_a": lambda v: _integer(v, "max_a"),
     }
     fields = _given(obj, {
-        "name": lambda v: v,
+        "name": _sweep_name,
         "master_seed": lambda v: _integer(v, "master_seed"),
         "utilizations": lambda v: tuple(map(_fraction, _json_list(v, "utilizations"))),
         "sets_per_point": lambda v: _integer(v, "sets_per_point", 1),
@@ -382,8 +392,31 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+# options whose value may be negative, and the start of such a value
+_SIGNED_OPTIONS = ("--lambda", "--pp")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """`argv` with `--lambda V` and `--pp V` written `--lambda=V` and
+    `--pp=V` when V starts with a minus and a digit or point: argparse
+    reads such a word as an option, not as a value, unless it is a plain
+    negative integer or decimal (`-1/2` and `-1,2` are neither)."""
+    out: list[str] = []
+    for k, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[k:]
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else argv)
+    )
     handlers = {
         "generate": _cmd_generate,
         "analyze": _cmd_analyze,

@@ -78,11 +78,10 @@ class JobBehavior:
     construction (`_canonical`); demand and suspension totals are derived
     from it.
 
-    The engine walks the plan by half-phases: half-phase h executes pair
-    h // 2 when h is even and suspends it when h is odd.  In canonical
-    form the only zero parts are a leading execute part and the last
-    pair's suspend part, so the walk skips the first and finishes at the
-    second.
+    The engine walks the plan as signed steps (see `_run_engine`).  In
+    canonical form the only zero parts are a leading execute part and
+    the last pair's suspend part, so the walk skips the first and
+    finishes at the second.
     """
 
     task: int
@@ -249,7 +248,7 @@ class ScheduleTrace:
 # (task, index, release, canonical phases): one job as the engine reads it
 _EngineJob = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
-# who owns a recorded row when no job runs (a running job's row holds its g)
+# what the processor does while no job runs (a running job is its g)
 _SUSP, _WAIT = -1, -2
 
 
@@ -261,122 +260,181 @@ def _run_engine(
 ) -> tuple[list[int | None], ScheduleTrace | None]:
     """Simulate `jobs` (sorted by task, then index) over [0, horizon),
     dispatching the ready job with the smallest absolute priority point
-    (release + `rel_points[task]`).  The rank order is a stable sort of
-    `jobs` by that point, so equal points break by task, then job index.
+    (release + `rel_points[task]`), equal points by task, then job index.
 
     Returns the per-job finish times (None if unfinished at the horizon)
     and, when `record` is set, the full trace.  With `record` off the
     trace is None and no intervals or execution/suspension spans are
     built; the schedule itself is the same.
+
+    Each plan becomes signed steps in one flat list: +e executes e
+    ticks, -s suspends s ticks, 0 finishes.  A pair (e, s) gives e if e
+    is not 0, then -s, or the finish if s is 0 (in canonical form only
+    the first execute part and the last suspend part are 0), and a plan
+    ends with a finish.  Each job keeps the index of its current step,
+    and an execute step holds the ticks it has left.  The ready heap
+    holds dispatch keys (point << bits) | g and the suspension heap
+    (end << bits) | g, with every job position g below 2**bits, so both
+    compare plain ints.
+
+    Solo walk: when exactly one job is ready after the events at t,
+    nothing but that job can act before the next release or the end of
+    another job's suspension, whichever comes first (the bound): every
+    other unfinished job is suspended, not yet released, or waits for
+    its predecessor, whose finish is an event of a suspended job or of
+    this one.  So its steps are walked by plain addition: a step that
+    ends at or before the bound completes, a finish passes to the
+    task's next job if that one is released (and is walked on, being
+    the only ready job), and the step that crosses the bound goes back
+    onto its heap with what is left of it.  Entering one step at an
+    event is the same walk with the bound at t.  The trace is the one
+    the event-by-event loop gives: no event it would handle falls
+    inside a walk.
     """
     nj = len(jobs)
+    bits = nj.bit_length()          # every position g is below 2**bits
+    mask = (1 << bits) - 1
     job_task = [j[0] for j in jobs]
     job_rel = [j[2] for j in jobs]
-    job_plan = [j[3] for j in jobs]
-
-    # Dispatch order as dense ranks, so the ready heap compares ints.
-    prio = [j[2] + rel_points[j[0]] for j in jobs]
-    by_rank = sorted(range(nj), key=prio.__getitem__)
-    rank = [0] * nj
-    for r, g in enumerate(by_rank):
-        rank[g] = r
+    keys = [((j[2] + rel_points[j[0]]) << bits) | g for g, j in enumerate(jobs)]
+    steps: list[int] = []
+    start = [0] * nj                # each job's first step
+    for g, j in enumerate(jobs):
+        start[g] = len(steps)
+        for e, s in j[3]:
+            if e:
+                steps.append(e)
+            if not s:
+                break
+            steps.append(-s)
+        steps.append(0)
+    pos = [0] * nj                  # each job's current step
 
     # events each job awaits before it begins: its release, and its
     # predecessor's finish when the job before it is of its task
     pending = [1 + (g > 0 and job_task[g - 1] == tid) for g, tid in enumerate(job_task)]
-    hp = [0] * nj                  # current half-phase (see JobBehavior)
-    rem = [0] * nj                 # ticks left in the current execute part
     finish: list[int | None] = [None] * nj
     if record:
         susp_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
-        rows: list[list[int]] = []  # [start, end, who], merged while who repeats
-        last: list = [0, 0, None]   # the last row; a sentinel merges with nothing
+        # the processor does seg_who[k] from seg_start[k] on; None opens
+        seg_start: list[int] = []
+        seg_who: list[int | None] = [None]
 
-    ready: list[int] = []           # ranks of jobs in an execute part
-    susp_ev: list[tuple[int, int]] = []
-
-    def advance(g: int, t: int, h: int) -> None:
-        # enter half-phase h of job g: even h executes pair h // 2, odd h
-        # suspends it.  A zero part is the leading execute part, which
-        # passes on to its suspension, or the last pair's suspend part,
-        # which finishes the job; cascades through instant finishes
-        while True:
-            plan = job_plan[g]
-            p = h >> 1
-            if p < len(plan):
-                e, s = plan[p]
-                if e and not h & 1:
-                    hp[g] = h
-                    rem[g] = e
-                    heappush(ready, rank[g])
-                    return
-                if s:
-                    hp[g] = h | 1
-                    heappush(susp_ev, (t + s, g))
-                    if record:
-                        susp_spans[g].append((t, min(t + s, horizon)))
-                    return
-            finish[g] = t
-            g += 1
-            if g < nj and job_task[g] == job_task[g - 1]:
-                pending[g] -= 1
-                if not pending[g]:
-                    h = 0
-                    continue
-            return
+    ready: list[int] = []           # keys of jobs in an execute step
+    susp_ev: list[int] = []         # (end << bits) | g of suspended jobs
 
     rel_order = sorted(range(nj), key=job_rel.__getitem__)
     rel_times = [job_rel[g] for g in rel_order]
+    del rel_times[bisect_left(rel_times, horizon):]
+    rel_times.append(horizon)       # the next release, or the horizon
     rp = 0
+    nr = rel_times[0]
 
     t = 0
     while t < horizon:
-        while rp < nj and rel_times[rp] == t:
+        # one event at t (a release, then a suspension end), a lone
+        # ready job, or else the stretch up to the next event: each names
+        # a job g that enters step i at t
+        if nr == t:
             g = rel_order[rp]
             rp += 1
+            nr = rel_times[rp]
             pending[g] -= 1
-            if not pending[g]:
-                advance(g, t, 0)
-        while susp_ev and susp_ev[0][0] == t:
-            _, g = heappop(susp_ev)
-            advance(g, t, hp[g] + 1)
-
-        nxt = horizon
-        if rp < nj and rel_times[rp] < nxt:
-            nxt = rel_times[rp]
-        if susp_ev and susp_ev[0][0] < nxt:
-            nxt = susp_ev[0][0]
-        if ready:
-            who = by_rank[ready[0]]
-            run_end = t + rem[who]
-            if run_end < nxt:
-                nxt = run_end
-            rem[who] -= nxt - t
+            if pending[g]:
+                continue
+            i = start[g]
+        elif susp_ev and susp_ev[0] >> bits == t:
+            g = heappop(susp_ev) & mask
+            i = pos[g] + 1
+        elif len(ready) == 1:
+            g = ready.pop() & mask
+            i = pos[g]
         else:
-            who = _SUSP if susp_ev else _WAIT
-        if record:
-            if last[2] == who:
-                last[1] = nxt
+            nxt = nr
+            if susp_ev and susp_ev[0] >> bits < nxt:
+                nxt = susp_ev[0] >> bits
+            if ready:
+                who = ready[0] & mask
+                i = pos[who]
+                run_end = t + steps[i]
+                if run_end < nxt:
+                    nxt = run_end
+                steps[i] = run_end - nxt
             else:
-                last = [t, nxt, who]
-                rows.append(last)
-        t = nxt
-        if who >= 0 and rem[who] == 0:
+                who = _SUSP if susp_ev else _WAIT
+            if record and seg_who[-1] != who:
+                seg_start.append(t)
+                seg_who.append(who)
+            t = nxt
+            if who < 0 or steps[i]:
+                continue
             heappop(ready)
-            advance(who, t, hp[who] + 1)
+            g = who
+            i += 1
+        # the only ready job walks its steps up to the next event of
+        # another job (solo walk); otherwise it only enters step i
+        if ready:
+            bound = t
+        else:
+            bound = nr
+            if susp_ev and susp_ev[0] >> bits < bound:
+                bound = susp_ev[0] >> bits
+
+        while True:
+            step = steps[i]
+            if step > 0:
+                if record and t < bound and seg_who[-1] != g:
+                    seg_start.append(t)
+                    seg_who.append(g)
+                end = t + step
+                if end > bound:
+                    steps[i] = end - bound
+                    pos[g] = i
+                    heappush(ready, keys[g])
+                    break
+            elif step:
+                end = t - step
+                if record:
+                    susp_spans[g].append((t, end if end < horizon else horizon))
+                    if t < bound and seg_who[-1] != _SUSP:
+                        seg_start.append(t)
+                        seg_who.append(_SUSP)
+                if end > bound or end == horizon:  # no event at the horizon
+                    pos[g] = i
+                    heappush(susp_ev, end << bits | g)
+                    break
+            else:
+                finish[g] = t
+                g += 1
+                if g < nj and job_task[g] == job_task[g - 1]:
+                    pending[g] -= 1
+                    if not pending[g]:
+                        i = start[g]
+                        continue
+                if record and t < bound:
+                    who = _SUSP if susp_ev else _WAIT
+                    if seg_who[-1] != who:
+                        seg_start.append(t)
+                        seg_who.append(who)
+                break
+            t = end
+            i += 1
+        t = bound
 
     if not record:
         return finish, None
-    # rows tile [0, horizon), so two run rows of one job merged exactly
-    # when they touch: a job's execution spans are its run rows in order
+    # a job's execution spans are its run rows in order: rows are
+    # maximal, so two of one job never touch
     exec_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
     out_rows = []
-    for start, end, who in rows:
+    seg_end = seg_start[1:]
+    seg_end.append(horizon)
+    for start_t, end_t, who in zip(seg_start, seg_end, seg_who[1:]):
         if who >= 0:
-            exec_spans[who].append((start, end))
-            out_rows.append((start, end, "run", job_task[who], jobs[who][1]))
+            exec_spans[who].append((start_t, end_t))
+            out_rows.append((start_t, end_t, "run", job_task[who], jobs[who][1]))
         else:
-            out_rows.append((start, end, "susp" if who == _SUSP else "wait", -1, -1))
+            out_rows.append((start_t, end_t, "susp" if who == _SUSP else "wait", -1, -1))
     job_rows = tuple(
         (task, index, release, spans[0][0] if spans else None, fin,
          tuple(spans), tuple(susp))
@@ -453,6 +511,10 @@ def _draw_jobs(
     not 0, the total suspension (below budget + 1), one cut per extra
     suspension (below total + 1) and one execution offset per suspension
     (below demand).
+
+    Every plan is emitted canonical, as `_canonical` would make it, but
+    with no call to it: the k-th suspension lasts cut k minus cut k - 1
+    and begins after offset k executed ticks.
     """
     if release_model not in RELEASE_MODELS:
         raise ValueError(f"unknown release model {release_model!r}")
@@ -523,13 +585,25 @@ def _draw_jobs(
                             x = getrandbits(k)
                         offsets.append(x)
                     offsets.sort()
-                    phases = []
-                    prev_off = prev_cut = 0
+                    # canonical as drawn: the suspensions at one offset
+                    # merge into the pending `acc`, which is emitted, with
+                    # the execution since `base`, once a later offset
+                    # comes; zero suspensions vanish
+                    pairs = []
+                    base = prev_off = prev_cut = acc = 0
                     for off, cut in zip(offsets, cuts):
-                        phases.append((off - prev_off, cut - prev_cut))
-                        prev_off, prev_cut = off, cut
-                    phases.append((c - prev_off, 0))
-                    plan = _canonical(phases)
+                        if acc and off != prev_off:
+                            pairs.append((prev_off - base, acc))
+                            base = prev_off
+                            acc = 0
+                        acc += cut - prev_cut
+                        prev_off = off
+                        prev_cut = cut
+                    if acc:
+                        pairs.append((prev_off - base, acc))
+                        base = prev_off
+                    pairs.append((c - base, 0))
+                    plan = tuple(pairs)
             append((tid, pos, rel, plan))
     return jobs
 

@@ -376,6 +376,18 @@ def test_sweep_omitted_fields_take_library_defaults(tmp_path, capsys, command, c
     assert written.read_bytes() == library.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["sweep", "lambda-sweep"])
+@pytest.mark.parametrize("name", [["x"], "", "a/b", "a\\b", 3, None])
+def test_sweep_name_must_be_a_plain_file_name_part(tmp_path, capsys, command, name):
+    # the name goes into the CSV file name: a list once wrote sweep_['x']_0.csv
+    cfg = tmp_path / "named.json"
+    cfg.write_text(json.dumps({"name": name, "utilizations": ["0.5"], "sets_per_point": 1, "n": 3}))
+    assert main([command, "--config", str(cfg), "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: a sweep name must be a non-empty string with no path separator, got {name!r}" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_sweep_dm_policy_matches_tfp_on_synthesized_sets(tmp_path, capsys):
     # synthesized sets are deadline-sorted, so deadline-monotonic points
     # are the list-order (tfp) points
@@ -419,6 +431,29 @@ def _assert_refused(code: int, err: str) -> None:
     assert code == 2, err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, label", [
+    (["--policy", "eqdf", "--lambda", "-1/2"], "eqdf[-1/2]"),
+    (["--policy", "eqdf", "--lambda", "-2"], "eqdf[-2]"),
+    (["--policy", "eqdf", "--lambda=-1/2"], "eqdf[-1/2]"),
+    (["--policy", "saedf", "--lambda", "-.5"], "saedf[-1/2]"),
+    (["--policy", "explicit", "--pp", "-1,20"], "explicit[-1,20]"),
+], ids=["fraction", "integer", "equals", "decimal", "points"])
+def test_negative_policy_values_parse_in_both_forms(worked_file, flags, label):
+    # argparse alone reads `-1/2` after `--lambda` as an option and exits 2
+    code, out, err = _run(["analyze", str(worked_file), *flags])
+    assert code in (0, 1), err
+    assert f"({label}, fixed window, passes:" in out.splitlines()[0]
+    code, out, err = _run(["simulate", str(worked_file), *flags, "--horizon", "40"])
+    assert code == 0, err
+    assert out.startswith(f"{label}: horizon 40,")
+
+
+def test_a_missing_lambda_value_is_still_refused(worked_file):
+    for argv in (["--lambda"], ["--lambda", "--csv"], ["--lambda", "-x"], ["--lambda", "-"]):
+        code, _, err = _run(["analyze", str(worked_file), "--policy", "eqdf", *argv])
+        _assert_refused(code, err)
 
 
 def test_policy_flags_exit_two_or_print_the_policy_label(worked_file):

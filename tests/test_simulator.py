@@ -1160,3 +1160,142 @@ def test_response_times_exclude_unfinished_jobs():
     assert per_job == {(0, 0): 4}
     assert per_task == {0: 4}
     assert unfinished == [(0, 1)]
+
+
+# --- the engine against a tick-by-tick reference ----------------------------
+
+
+def _tick_reference(seq: JobSequence, points) -> tuple[list, list]:
+    """Finish times and the per-tick processor state of `seq`, found one
+    tick at a time without the engine's events: each tick, among the
+    released jobs whose predecessor of their task has finished and that
+    are in an execute part, the one with the smallest absolute point
+    (release + point of its task) runs, ties by task, then job index.
+    A suspension part ends the given ticks after it begins.  A state is
+    ("run", task, index), ("susp",) or ("wait",)."""
+    jobs, horizon = seq.jobs, seq.horizon
+    parts = [[x for e, s in j.phases for x in (e, -s) if x] for j in jobs]
+    part = [-1] * len(jobs)              # -1 until the job begins
+    left = [0] * len(jobs)               # ticks left in the current part
+    finish = [None] * len(jobs)
+    states = []
+    for t in range(horizon + 1):
+        for g, j in enumerate(jobs):      # a predecessor settles first
+            if finish[g] is not None or j.release > t:
+                continue
+            if part[g] < 0 and g and jobs[g - 1].task == j.task and finish[g - 1] is None:
+                continue
+            while left[g] == 0:
+                part[g] += 1
+                if part[g] == len(parts[g]):
+                    finish[g] = t
+                    break
+                left[g] = abs(parts[g][part[g]])
+        if t == horizon:
+            break
+        active = [g for g in range(len(jobs)) if part[g] >= 0 and finish[g] is None]
+        ready = [g for g in active if parts[g][part[g]] > 0]
+        suspended = [g for g in active if parts[g][part[g]] < 0]
+        if ready:
+            g = min(ready, key=lambda g: (jobs[g].release + points[jobs[g].task], g))
+            left[g] -= 1
+            states.append(("run", jobs[g].task, jobs[g].index))
+        else:
+            states.append(("susp",) if suspended else ("wait",))
+        for g in suspended:
+            left[g] -= 1
+    return finish, states
+
+
+def _tick_states(trace) -> list:
+    return [
+        ("run", iv.task, iv.job) if iv.kind == "run" else (iv.kind,)
+        for iv in trace.intervals for _ in range(iv.start, iv.end)
+    ]
+
+
+def _assert_engine_matches_reference(seq: JobSequence, points) -> list:
+    finish, states = _tick_reference(seq, points)
+    jobs = _engine_jobs(seq)
+    assert _run_engine(seq.horizon, jobs, points, record=False) == (finish, None)
+    recorded, trace = _run_engine(seq.horizon, jobs, points)
+    assert recorded == finish == [j.finish for j in trace.jobs]
+    assert _tick_states(trace) == states
+    return finish
+
+
+def _seq(horizon: int, *jobs: tuple) -> JobSequence:
+    return JobSequence(tuple(JobBehavior(*j) for j in jobs), horizon)
+
+
+# Each case walks one edge of the engine's solo walk: (sequence, relative
+# points, finish times in (task, index) order).
+SOLO_WALK_EDGES = {
+    # task 0 executes alone up to task 1's release, then suspends
+    "execute-ends-on-release": (
+        _seq(12, (0, 0, 0, ((4, 3), (1, 0))), (1, 0, 4, ((2, 0),))), (20, 20), [8, 6]),
+    # task 0 resumes at task 1's release and loses to its smaller point
+    "suspension-ends-on-release": (
+        _seq(12, (0, 0, 0, ((1, 3), (2, 0))), (1, 0, 4, ((2, 0),))), (20, 1), [8, 6]),
+    # job (0, 0) finishes at task 1's release; (0, 1), waiting since 2,
+    # begins then and runs after the more urgent task-1 job
+    "finish-on-release-cascades": (
+        _seq(12, (0, 0, 0, ((5, 0),)), (0, 1, 2, ((3, 0),)), (1, 0, 5, ((2, 0),))),
+        (10, 0), [5, 10, 7]),
+    # the successor, released while its predecessor runs, is walked on
+    "successor-walked-on": (
+        _seq(12, (0, 0, 0, ((3, 0),)), (0, 1, 1, ((0, 2), (2, 0)))), (5,), [3, 7]),
+    # a suspension and an execution still running at the horizon
+    "cut-by-horizon": (
+        _seq(7, (0, 0, 0, ((3, 0),)), (0, 1, 4, ((4, 0),)), (1, 0, 0, ((1, 9), (2, 0)))),
+        (1, 30), [3, None, None]),
+    # an execution that ends exactly at the horizon finishes there
+    "finish-at-horizon": (
+        _seq(6, (0, 0, 0, ((2, 1), (3, 0))), (1, 0, 1, ((0, 2),))), (3, 3), [6, 1]),
+    # zero demand: (0, 0) at its release, (1, 1) at its predecessor's
+    # finish; (0, 1) begins with a suspension
+    "zero-demand-and-leading-suspension": (
+        _seq(10, (0, 0, 0, ()), (0, 1, 3, ((0, 2), (1, 0))), (1, 0, 0, ((2, 0),)),
+             (1, 1, 1, ())),
+        (9, 9), [0, 6, 2, 2]),
+    # equal absolute points (6): the lower task index preempts
+    "equal-points-tie-by-task": (
+        _seq(10, (0, 0, 2, ((2, 0),)), (1, 0, 0, ((4, 0),))), (4, 6), [4, 6]),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLO_WALK_EDGES))
+def test_engine_matches_tick_reference_on_solo_walk_edges(case):
+    seq, points, expected = SOLO_WALK_EDGES[case]
+    assert _assert_engine_matches_reference(seq, points) == expected
+
+
+def test_engine_matches_tick_reference_on_small_sets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 3))
+        horizon = draw(st.integers(1, 40))
+        jobs = []
+        for task in range(n):
+            release = draw(st.integers(0, 8))
+            index = 0
+            while release < horizon and index < 6:
+                pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3))
+                jobs.append(JobBehavior(task, index, release, tuple(pairs)))
+                index += 1
+                release += draw(st.integers(0, 12))
+        if draw(st.booleans()):
+            points = [draw(st.integers(-5, 30)) for _ in range(n)]
+        else:
+            points = [i * horizon for i in range(n)]   # strict fixed priorities
+        return JobSequence(tuple(jobs), horizon), points
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        _assert_engine_matches_reference(*case)
+
+    check()
