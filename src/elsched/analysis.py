@@ -15,18 +15,23 @@ baseline) is its single stage that starts at the release, with the count
 of the analyzed task's own jobs left uncapped.  TESTS names the three
 tests a policy is combined with, and run_test runs one of them by name.
 
+No bound ever rises.  Bounds start at the deadlines, and every window
+total is non-decreasing in every other task's bound, so each
+recomputation finds stage minima no higher than before: a bound can only
+fall, and a task certified once stays certified.  Both the warm start
+below and the verdict-only exit rest on this.
+
 The search takes four shortcuts, each exact: it returns every verdict,
 bound, offset and pass count that rescanning every task and stage from
 scratch, offset by offset, would.  A task's outcome is a function of the
 other tasks' bounds, so a task is recomputed only after one of them
-changed.  Every window total is non-decreasing in every other task's
-bound, so while no bound has risen, no stage minimum can rise, and a
-stage scan starts just above its last minimum: with the strict-<
-first-minimum rule it still ends on the same least value at the same
-first offset.  Before each reach-back stage, a floor bounds every total
-within the period in the stages left, from below (each ceiling term is
-at least its argument); a floor above the period means the task fails
-there, as it would after scanning every stage.
+changed.  No stage minimum rises, so a stage scan starts just above its
+last minimum: with the strict-< first-minimum rule it still ends on the
+same least value at the same first offset.  Before each reach-back
+stage, a floor bounds every total within the period in the stages left,
+from below (each ceiling term is at least its argument); a floor above
+the period means the task fails there, as it would after scanning every
+stage.
 
 Within a stage, the grid offsets are scanned as ranges of indices, depth
 first and left to right.  A window total at offset b is b plus an own-job
@@ -43,6 +48,12 @@ the minimum when a plain scan met it, and the scan ends on the same
 least total at the same first offset.  The cost of a stage grows with
 the ranges that can still hold a new minimum, not with the number of
 grid points.
+
+With `verdict_only`, the passes end after the first one in which every
+task is certified.  Every later pass would end certified too, so the
+verdict is the full run's.  The bounds are sound, each found against
+peer bounds no lower than the final ones, but can be looser than the
+full run's, and `iterations` counts the passes run.
 """
 
 from __future__ import annotations
@@ -187,7 +198,7 @@ def _reach_floor(
 
 def _window_core(
     C: Sequence[int], S: Sequence[int], D: Sequence[int], T: Sequence[int],
-    pp: Sequence[int], cfg: TestConfig, reach_back: bool,
+    pp: Sequence[int], cfg: TestConfig, reach_back: bool, verdict_only: bool,
 ) -> AnalysisResult:
     # Stage a scans the signed window start b = x - a * T_k (relative to
     # the analyzed release) from -a * T_k up to D_k.  The fixed window is
@@ -206,7 +217,6 @@ def _window_core(
     dirty = [True] * n
     # each task's stage minima at its last computation
     minima: list[list[int]] = [[] for _ in range(n)]
-    warm = True
     solved = False
     iters = 0
     for _ in range(cfg.depth):
@@ -232,7 +242,7 @@ def _window_core(
                 ((row[i] + rb[i], T[i], C[i]) for i in range(n) if i != k and C[i] > 0),
                 key=lambda t: (t[0] // -t[1]) * t[2],
             )
-            last = minima[k] if warm else []
+            last = minima[k]
             stage_best: list[int] = []
             stage_b: list[int] = []
             reach = None
@@ -245,8 +255,8 @@ def _window_core(
                 own_cap = a + 1 if reach_back else -(-Dk // Tk)
                 # only a bound within the deadline can be kept: a position
                 # certifying it must exist at every stage up to the accepted
-                # one.  No bound rose since last[a] was found, so the least
-                # total is at most last[a] and is found from just above it.
+                # one.  No bound rises, so the least total is at most
+                # last[a] and is found from just above it.
                 best = last[a] + 1 if a < len(last) else Dk + 1
                 best_b = 0
                 # grid offsets b = base + j * step, j = 0.. while b < D_k,
@@ -310,9 +320,6 @@ def _window_core(
                 else:
                     offs[k] = best_b
             if new_rb != rb[k]:
-                # a risen bound may raise other tasks' stage minima
-                if new_rb > rb[k]:
-                    warm = False
                 rb[k] = new_rb
                 changed = True
                 if C[k] > 0:
@@ -320,17 +327,18 @@ def _window_core(
                     dirty[k] = False
             if reach is None:
                 break
-        if not changed:
+        if not changed or (verdict_only and solved):
             break
     return AnalysisResult(solved, tuple(rb), tuple(offs), iters)
 
 
 def _analyze(
     ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None,
-    reach_back: bool, inflate: bool = False,
+    reach_back: bool, inflate: bool = False, verdict_only: bool = False,
 ) -> AnalysisResult:
     """The window search behind every test: `reach_back` for the extended
-    window, `inflate` to fold each suspension into the execution budget."""
+    window, `inflate` to fold each suspension into the execution budget,
+    `verdict_only` to stop at the first pass that certifies every task."""
     if len(ts) == 0:
         raise ValueError("cannot analyze an empty task set")
     pts = _check_points(ts, rel_points)
@@ -338,49 +346,61 @@ def _analyze(
     if inflate:
         C = [c + s for c, s in zip(C, S)]
         S = [0] * len(ts)
-    return _window_core(C, S, D, T, pts, config or DEFAULT_CONFIG, reach_back)
+    return _window_core(C, S, D, T, pts, config or DEFAULT_CONFIG, reach_back, verdict_only)
 
 
 def test_fixed(
-    ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None
+    ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None,
+    *, verdict_only: bool = False,
 ) -> AnalysisResult:
     """Iterative response-time test scanning window offsets within one
     deadline.  Sound and sufficient: verdict True certifies that every
     job meets its deadline under the given relative priority points.
+    With verdict_only, the passes stop at the first that certifies every
+    task: same verdict, sound bounds that can be looser than the full
+    run's.
     """
-    return _analyze(ts, rel_points, config, reach_back=False)
+    return _analyze(ts, rel_points, config, reach_back=False, verdict_only=verdict_only)
 
 
 def test_variable(
-    ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None
+    ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None,
+    *, verdict_only: bool = False,
 ) -> AnalysisResult:
     """Like test_fixed, but the analysis window may start up to
     max_a periods before the analyzed release, which can help when
     deadlines exceed periods.  On task sets whose deadlines never exceed
     their periods it returns exactly the fixed-window result.
+    verdict_only stops at the first pass that certifies every task, as
+    for test_fixed.
     """
-    return _analyze(ts, rel_points, config, reach_back=True)
+    return _analyze(ts, rel_points, config, reach_back=True, verdict_only=verdict_only)
 
 
 def test_tfp(
-    ts: TaskSet, config: TestConfig | None = None
+    ts: TaskSet, config: TestConfig | None = None, *, verdict_only: bool = False,
 ) -> AnalysisResult:
     """Fixed-window test under emulated fixed task priorities (list
-    order), using cumulative-deadline priority points.
+    order), using cumulative-deadline priority points.  verdict_only
+    stops at the first pass that certifies every task, as for
+    test_fixed.
     """
     pts = derive_priority_points(ts, PriorityPolicy.tfp())
-    return test_fixed(ts, pts, config)
+    return test_fixed(ts, pts, config, verdict_only=verdict_only)
 
 
 def baseline_susp_obl(
-    ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None
+    ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None,
+    *, verdict_only: bool = False,
 ) -> AnalysisResult:
     """Baseline that folds each suspension into the execution budget
     (wcet + suspension, no suspension) and runs the fixed-window test.
     The inflated budget may exceed a deadline; such tasks simply fail
-    refinement, so the verdict stays sound.
+    refinement, so the verdict stays sound.  verdict_only stops at the
+    first pass that certifies every task, as for test_fixed.
     """
-    return _analyze(ts, rel_points, config, reach_back=False, inflate=True)
+    return _analyze(ts, rel_points, config, reach_back=False, inflate=True,
+                    verdict_only=verdict_only)
 
 
 # --- test registry -----------------------------------------------------------
@@ -390,18 +410,22 @@ TESTS = ("fixed", "variable", "baseline")
 
 
 def run_test(
-    name: str, ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None
+    name: str, ts: TaskSet, rel_points: Sequence[int], config: TestConfig | None = None,
+    *, verdict_only: bool = False,
 ) -> AnalysisResult:
     """Run the test `name` from TESTS: the fixed- or variable-window test,
-    or the suspension-oblivious baseline."""
+    or the suspension-oblivious baseline.  With verdict_only, the result
+    holds the full run's verdict, but its bounds and offsets are those of
+    the first pass that certified every task (sound, possibly looser) and
+    its iterations count the passes run."""
     # the tests are looked up by module-level name at each call, so a
     # wrapper installed over one of them sees the calls made through here
     if name == "fixed":
-        return test_fixed(ts, rel_points, config)
+        return test_fixed(ts, rel_points, config, verdict_only=verdict_only)
     if name == "variable":
-        return test_variable(ts, rel_points, config)
+        return test_variable(ts, rel_points, config, verdict_only=verdict_only)
     if name == "baseline":
-        return baseline_susp_obl(ts, rel_points, config)
+        return baseline_susp_obl(ts, rel_points, config, verdict_only=verdict_only)
     raise ValueError(f"unknown test kind {name!r}")
 
 

@@ -16,6 +16,13 @@ variable-window test returns the fixed-window test's verdict, bounds and
 pass count, so a variable run there is a fixed run.  The fixed-vs-extended
 campaign (`verify_fixed_vs_extended`, acceptance check c04) runs both
 tests, bypassing the memo, and is what checks that identity.
+
+Campaigns that read only verdicts (sweep cells, soundness sets and the
+test_tfp certification of equivalence attempts) run their tests with
+`verdict_only`: the window search stops at the first pass that certifies
+every task, with the full run's verdict.  Campaigns that compare or
+return bounds (`verify_fixed_vs_extended`, `find_non_dominance_pair`,
+`runtime_benchmark`) run the tests in full.
 """
 
 from __future__ import annotations
@@ -223,17 +230,18 @@ def _verdicts(
     ts: TaskSet, runs: Sequence[tuple[tuple[int, ...], str]], config: TestConfig,
 ) -> list[bool]:
     """The verdict of each (points, test) run on one set, each distinct
-    analysis run once.  Runs share a verdict when their effective test
-    and points are equal: the variable test is the fixed test when no
-    deadline exceeds its period, and equal points (eqdf(0), saedf(0) and
-    edf, say) give equal results."""
+    analysis run once and with verdict_only, so it stops at the first
+    pass that certifies every task.  Runs share a verdict when their
+    effective test and points are equal: the variable test is the fixed
+    test when no deadline exceeds its period, and equal points (eqdf(0),
+    saedf(0) and edf, say) give equal results."""
     constrained = all(t.deadline <= t.period for t in ts)
     memo: dict[tuple[str, tuple[int, ...]], bool] = {}
     out = []
     for pts, test in runs:
         key = ("fixed" if constrained and test == "variable" else test, pts)
         if key not in memo:
-            memo[key] = run_test(key[0], ts, pts, config).verdict
+            memo[key] = run_test(key[0], ts, pts, config, verdict_only=True).verdict
         out.append(memo[key])
     return out
 
@@ -442,7 +450,7 @@ def _fp_attempt(
     u = corpus.u_grid[attempt % len(corpus.u_grid)]
     seed = cell_seed(corpus.master_seed, "fp", u, attempt)
     ts = corpus.taskset(u, Fraction(1), seed)
-    if not test_tfp(ts, cfg).verdict:
+    if not test_tfp(ts, cfg, verdict_only=True).verdict:
         return None
     pts = derive_priority_points(ts, PriorityPolicy.tfp())
     horizon = horizon_factor * max(t.period for t in ts)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -111,7 +112,9 @@ class GenSpec:
         if not 0 < self.u_total <= self.n:
             raise ValueError(f"u_total must be in (0, n], got {self.u_total}")
         lo, hi = self.period_range
-        if lo <= 0 or hi < lo:
+        # NaN fails every comparison, and periods are drawn log-uniformly
+        # in ticks, which must stay finite floats
+        if not 0 < lo <= hi <= sys.float_info.max / TICKS_PER_MS:
             raise ValueError(f"bad period range {self.period_range}")
         if round(lo * TICKS_PER_MS) < 1:
             raise ValueError("shortest period must be at least one tick")

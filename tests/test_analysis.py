@@ -14,6 +14,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +36,8 @@ from elsched import TestConfig as IterConfig  # alias: keep pytest collection aw
 from elsched import test_fixed as fixed_test
 from elsched import test_tfp as tfp_test
 from elsched import test_variable as variable_test
-from elsched.analysis import _caps
+from elsched.analysis import TESTS, _caps, run_test
+from elsched.model import POLICY_KINDS, WEIGHTED_KINDS
 
 WORKED = TaskSet((Task(1, 0, 5, 5), Task(2, 1, 16, 16)))
 REF = TaskSet((Task(2, 0, 5, 5), Task(7, 3, 16, 16)))
@@ -625,6 +627,87 @@ def test_variable_matches_naive_reimplementation():
         assert res.verdict == verdict
         assert res.bounds == bounds
         assert res.offsets == offs
+
+
+# --- verdict-only runs -------------------------------------------------------------------
+
+
+def _certificate_values(res, ts, pts, reach_back):
+    """Each task's certified window totals, re-evaluated by the rational
+    oracles under the result's own bounds, with the reach-back stage's
+    total last for extended-window offsets."""
+    for k, off in enumerate(res.offsets):
+        if off is None:
+            continue
+        if reach_back:
+            yield k, [_naive_bound_extended(k, a, x, res.bounds, ts, pts)
+                      for a, x in enumerate(off[1])]
+        else:
+            yield k, [_naive_bound_fixed(k, off, res.bounds, ts, pts)]
+
+
+def test_verdict_only_keeps_verdict_and_sound_bounds():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    factors = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+    etas = (Fraction(1, 100), Fraction(1, 10), Fraction(1, 7), Fraction(1, 3), Fraction(1))
+
+    @st.composite
+    def cases(draw):
+        x = draw(st.sampled_from(factors))
+        tasks = []
+        for _ in range(draw(st.integers(1, 4))):
+            t = draw(st.integers(1, 30))
+            tasks.append(Task(draw(st.integers(0, t)), draw(st.integers(0, 6)),
+                              round_half_up(x * t), t))
+        ts = TaskSet(tuple(tasks))
+        kind = draw(st.sampled_from(POLICY_KINDS))
+        if kind in WEIGHTED_KINDS:
+            policy = PriorityPolicy(kind, draw(st.sampled_from((-2, Fraction(-1, 2), 0, 1, 3))))
+        elif kind == "explicit":
+            policy = PriorityPolicy.explicit([draw(st.integers(-10, 60)) for _ in ts])
+        else:
+            policy = PriorityPolicy(kind)
+        test = draw(st.sampled_from((*TESTS, "tfp")))
+        cfg = IterConfig(eta=draw(st.sampled_from(etas)), depth=draw(st.integers(1, 5)),
+                         max_a=draw(st.integers(0, 10)))
+        return ts, policy, test, cfg
+
+    seen = {"stopped early": 0, "looser": 0}
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        ts, policy, test, cfg = case
+        if test == "tfp":
+            pts = derive_priority_points(ts, PriorityPolicy.tfp())
+            full, fast = tfp_test(ts, cfg), tfp_test(ts, cfg, verdict_only=True)
+        else:
+            pts = derive_priority_points(ts, policy)
+            full = run_test(test, ts, pts, cfg)
+            fast = run_test(test, ts, pts, cfg, verdict_only=True)
+        assert fast.verdict == full.verdict
+        assert all(f >= g for f, g in zip(fast.bounds, full.bounds))
+        assert fast.iterations <= full.iterations
+        if not fast.verdict:
+            # the early exit is never taken: the full run, pass for pass
+            assert fast == full
+            return
+        assert all(r <= t.deadline for r, t in zip(fast.bounds, ts))
+        seen["stopped early"] += fast.iterations < full.iterations
+        seen["looser"] += fast.bounds != full.bounds
+        # the oracles read wcet, suspension, deadline and period only
+        oracle_ts = ts if test != "baseline" else [
+            SimpleNamespace(wcet=t.wcet + t.suspension, suspension=0,
+                            deadline=t.deadline, period=t.period) for t in ts]
+        for k, values in _certificate_values(fast, oracle_ts, pts, test == "variable"):
+            assert max(values) <= fast.bounds[k]
+            if test == "variable":
+                assert values[-1] <= ts[k].period
+
+    check()
+    # the early exit was taken, and its bounds differed from the full run's
+    assert seen["stopped early"] > 0 and seen["looser"] > 0, seen
 
 
 # --- emulated fixed priority and the suspension-oblivious baseline -------------------

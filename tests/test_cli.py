@@ -359,6 +359,22 @@ def test_sweep_malformed_config_exits_two(tmp_path, capsys, command, config, mes
     assert not list(tmp_path.glob("*.csv"))
 
 
+# JSON text as written: 1e309 parses as inf, and NaN and Infinity are
+# extensions Python's json reads
+@pytest.mark.parametrize("periods, shown", [
+    ("[1, Infinity]", "(1, inf)"),
+    ("[1e308, 1e309]", "(1e+308, inf)"),
+    ("[NaN, 10]", "(nan, 10)"),
+], ids=["infinity", "overflow", "nan"])
+def test_sweep_non_finite_period_range_exits_two(tmp_path, capsys, periods, shown):
+    cfg = tmp_path / "periods.json"
+    cfg.write_text('{"period_range": %s, "utilizations": ["0.5"], "sets_per_point": 1, "n": 3}'
+                   % periods)
+    assert main(["sweep", "--config", str(cfg), "-o", str(tmp_path)]) == 2
+    assert f"error: bad period range {shown}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("command, config, sweep", [
     ("sweep", experiments.SweepConfig, experiments.acceptance_sweep),
     ("lambda-sweep", experiments.LambdaSweepConfig, experiments.lambda_sweep),
