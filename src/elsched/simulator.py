@@ -514,7 +514,8 @@ def _draw_jobs(
 
     Every plan is emitted canonical, as `_canonical` would make it, but
     with no call to it: the k-th suspension lasts cut k minus cut k - 1
-    and begins after offset k executed ticks.
+    and begins after offset k executed ticks.  A random-phase plan is
+    built straight from its draws, one branch per suspension count.
     """
     if release_model not in RELEASE_MODELS:
         raise ValueError(f"unknown release model {release_model!r}")
@@ -528,6 +529,7 @@ def _draw_jobs(
     jittered = release_model == "sporadic-jittered"
     random_demand = demand_model == "random"
     phased = suspension_model == "random-phases"
+    blocked = suspension_model == "max-single-block"
     jobs: list[_EngineJob] = []
     append = jobs.append
     for tid, task in enumerate(ts):
@@ -541,69 +543,121 @@ def _draw_jobs(
                 r += period + int(-log(1.0 - uniform()) / lam)
         else:
             releases = range(0, horizon, period)
-        suspends = budget > 0 and suspension_model != "none"
         k_demand = (wcet + 1).bit_length()
+        if not (phased and budget):
+            # the plan follows from the demand: max-single-block suspends
+            # the whole budget after the first executed tick
+            block = budget if blocked else 0
+            for pos, rel in enumerate(releases):
+                c = wcet
+                if random_demand:
+                    c = getrandbits(k_demand)
+                    while c > wcet:
+                        c = getrandbits(k_demand)
+                if not c:
+                    plan = ()
+                elif not block:
+                    plan = ((c, 0),)
+                else:
+                    plan = ((1, block), (c - 1, 0)) if c > 1 else ((1, 0),)
+                append((tid, pos, rel, plan))
+            continue
+        # random-phases: up to three suspensions summing to a uniform
+        # total, at uniformly drawn execution offsets in [0, c - 1]
         k_total = (budget + 1).bit_length()
+        c = wcet
+        k_off = c.bit_length()
         for pos, rel in enumerate(releases):
-            c = wcet
             if random_demand:
                 c = getrandbits(k_demand)
                 while c > wcet:
                     c = getrandbits(k_demand)
-            if not suspends or c == 0:
-                plan = ((c, 0),) if c else ()
-            elif not phased:
-                # max-single-block: the whole budget after the first
-                # executed tick
-                plan = ((1, budget), (c - 1, 0)) if c > 1 else ((1, 0),)
-            else:
-                # up to three suspensions summing to a uniform total, at
-                # uniformly drawn execution offsets in [0, c - 1]
-                n_seg = getrandbits(3)  # below 4, and 4 .bit_length() is 3
-                while n_seg > 3:
-                    n_seg = getrandbits(3)
-                if n_seg == 0:
-                    plan = ((c, 0),)
+                k_off = c.bit_length()
+            if not c:
+                append((tid, pos, rel, ()))
+                continue
+            n_seg = getrandbits(3)  # below 4, and 4 .bit_length() is 3
+            while n_seg > 3:
+                n_seg = getrandbits(3)
+            if not n_seg:
+                append((tid, pos, rel, ((c, 0),)))
+                continue
+            total = getrandbits(k_total)
+            while total > budget:
+                total = getrandbits(k_total)
+            if n_seg == 1:
+                a = getrandbits(k_off)
+                while a >= c:
+                    a = getrandbits(k_off)
+                plan = ((a, total), (c - a, 0)) if total else ((c, 0),)
+            elif n_seg == 2:
+                # suspensions of cut and total - cut at offsets a <= b
+                k = (total + 1).bit_length()
+                cut = getrandbits(k)
+                while cut > total:
+                    cut = getrandbits(k)
+                a = getrandbits(k_off)
+                while a >= c:
+                    a = getrandbits(k_off)
+                b = getrandbits(k_off)
+                while b >= c:
+                    b = getrandbits(k_off)
+                if b < a:
+                    a, b = b, a
+                if a != b and 0 < cut < total:
+                    plan = ((a, cut), (b - a, total - cut), (c - b, 0))
                 else:
-                    total = getrandbits(k_total)
-                    while total > budget:
-                        total = getrandbits(k_total)
-                    k = (total + 1).bit_length()
-                    cuts = []
-                    for _ in range(n_seg - 1):
-                        x = getrandbits(k)
-                        while x > total:
-                            x = getrandbits(k)
-                        cuts.append(x)
-                    cuts.sort()
-                    cuts.append(total)
-                    k = c.bit_length()
-                    offsets = []
-                    for _ in range(n_seg):
-                        x = getrandbits(k)
-                        while x >= c:
-                            x = getrandbits(k)
-                        offsets.append(x)
-                    offsets.sort()
-                    # canonical as drawn: the suspensions at one offset
-                    # merge into the pending `acc`, which is emitted, with
-                    # the execution since `base`, once a later offset
-                    # comes; zero suspensions vanish
-                    pairs = []
-                    base = prev_off = prev_cut = acc = 0
-                    for off, cut in zip(offsets, cuts):
-                        if acc and off != prev_off:
-                            pairs.append((prev_off - base, acc))
-                            base = prev_off
-                            acc = 0
-                        acc += cut - prev_cut
-                        prev_off = off
-                        prev_cut = cut
-                    if acc:
-                        pairs.append((prev_off - base, acc))
-                        base = prev_off
-                    pairs.append((c - base, 0))
-                    plan = tuple(pairs)
+                    # one suspension of the total: at b if the first
+                    # part is 0, else at a (a == b, or the second is 0)
+                    if not cut:
+                        a = b
+                    plan = ((a, total), (c - a, 0)) if total else ((c, 0),)
+            else:
+                # suspensions of lo, hi - lo and total - hi at offsets
+                # a <= b <= d (a sorting network of three)
+                k = (total + 1).bit_length()
+                lo = getrandbits(k)
+                while lo > total:
+                    lo = getrandbits(k)
+                hi = getrandbits(k)
+                while hi > total:
+                    hi = getrandbits(k)
+                if hi < lo:
+                    lo, hi = hi, lo
+                a = getrandbits(k_off)
+                while a >= c:
+                    a = getrandbits(k_off)
+                b = getrandbits(k_off)
+                while b >= c:
+                    b = getrandbits(k_off)
+                d = getrandbits(k_off)
+                while d >= c:
+                    d = getrandbits(k_off)
+                if b < a:
+                    a, b = b, a
+                if d < b:
+                    b, d = d, b
+                    if b < a:
+                        a, b = b, a
+                # a suspension joins the next one at the same offset;
+                # zero parts then vanish
+                s1, s2, s3 = lo, hi - lo, total - hi
+                if a == b:
+                    s1, s2 = 0, hi
+                if b == d:
+                    s2, s3 = 0, s2 + s3
+                plan = ()
+                base = 0
+                if s1:
+                    plan = ((a, s1),)
+                    base = a
+                if s2:
+                    plan += ((b - base, s2),)
+                    base = b
+                if s3:
+                    plan += ((d - base, s3),)
+                    base = d
+                plan += ((c - base, 0),)
             append((tid, pos, rel, plan))
     return jobs
 

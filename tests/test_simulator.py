@@ -3,6 +3,7 @@ trace export, and the processor-state accounting."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -469,6 +470,81 @@ def test_bounded_draw_matches_randbelow(n):
     expected = [ref._randbelow(n) for _ in range(10)]
     expected += [ref._randbelow(2**32 + 1) for _ in range(10)]
     assert [j.demand for j in jobs] == expected
+
+
+def _literal_draw(ts, horizon, seed, release_model, suspension_model, demand_model, seen):
+    """The jobs of `_draw_jobs` drawn the literal way: `randint` and
+    `expovariate` of `random.Random(seed)`, each random-phase plan placed
+    by sorting its cuts and offsets and pairing them in order, then made
+    canonical by `_canonical`.  Counts in `seen` which cases it met."""
+    rng = random.Random(seed)
+    jobs = []
+    for tid, t in enumerate(ts):
+        releases, r = [], 0
+        while r < horizon:
+            releases.append(r)
+            r += t.period
+            if release_model == "sporadic-jittered":
+                r += int(rng.expovariate(10.0 / t.period))
+        for pos, rel in enumerate(releases):
+            c = rng.randint(0, t.wcet) if demand_model == "random" else t.wcet
+            raw = [(c, 0)]
+            if c and t.suspension and suspension_model == "max-single-block":
+                raw = [(1, t.suspension), (c - 1, 0)]
+            elif c and t.suspension and suspension_model == "random-phases":
+                n_seg = rng.randint(0, 3)
+                seen[f"count {n_seg}"] += 1
+                if n_seg:
+                    total = rng.randint(0, t.suspension)
+                    cuts = sorted(rng.randint(0, total) for _ in range(n_seg - 1)) + [total]
+                    offsets = sorted(rng.randint(0, c - 1) for _ in range(n_seg))
+                    parts = [b - a for a, b in zip([0] + cuts, cuts)]
+                    seen[f"coincident offsets, count {n_seg}"] += len(set(offsets)) < n_seg
+                    seen[f"zero part of a positive total, count {n_seg}"] += (
+                        total > 0 and 0 in parts)
+                    seen[f"zero total, count {n_seg}"] += total == 0
+                    raw = [(off - prev, s) for prev, off, s in zip([0] + offsets, offsets, parts)]
+                    raw.append((c - offsets[-1], 0))
+            jobs.append((tid, pos, rel, simulator._canonical(raw)))
+    return jobs
+
+
+def test_draw_matches_literal_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    combos = list(itertools.product(RELEASE_MODELS, SUSPENSION_MODELS, DEMAND_MODELS))
+    assert len(combos) == 12
+    # small amounts make offsets coincide and cuts hit 0 or the total;
+    # bounds of 2**32 and more take getrandbits over 32 bits
+    amounts = st.one_of(st.integers(0, 4), st.integers(0, 40), st.integers(2**32 - 1, 2**34))
+
+    @st.composite
+    def cases(draw):
+        tasks = []
+        for _ in range(draw(st.integers(1, 4))):
+            period = draw(st.integers(1, 30))
+            wcet = draw(amounts)
+            tasks.append(Task(wcet, draw(amounts), max(wcet, period), period))
+        return TaskSet(tuple(tasks)), draw(st.integers(1, 120)), draw(st.integers(0, 2**64))
+
+    seen = collections.Counter()
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(cases())
+    def check(case):
+        ts, horizon, seed = case
+        for combo in combos:
+            assert simulator._draw_jobs(ts, horizon, seed, *combo) == _literal_draw(
+                ts, horizon, seed, *combo, seen), combo
+
+    check()
+    # every branch of the draw was met
+    required = [f"count {n}" for n in range(4)] + [
+        f"{case}, count {n}"
+        for case in ("coincident offsets", "zero part of a positive total", "zero total")
+        for n in (2, 3)
+    ]
+    assert [key for key in required if not seen[key]] == []
 
 
 # --- engine invariants (fuzz) ----------------------------------------------------------------
