@@ -220,7 +220,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         Path(args.trace_out).write_text(export_trace(trace))
     per_job, per_task, unfinished = response_times(trace)
     feasible = check_feasibility(trace, ts)
-    print(f"{policy.label()}: horizon {horizon}, {len(seq.jobs)} jobs, "
+    n_jobs = len(per_job) + len(unfinished)   # every job, finished or not
+    print(f"{policy.label()}: horizon {horizon}, {n_jobs} jobs, "
           f"feasible: {'yes' if feasible else 'NO'}")
     for tid in range(len(ts)):
         worst = per_task.get(tid)

@@ -62,9 +62,9 @@ _T = TypeVar("_T")
 
 def _unchecked(cls: type[_T], **fields: object) -> _T:
     """An instance of the frozen dataclass `cls` from fields (for
-    `ScheduleTrace`, its row storage) already valid and canonical: fills
-    the instance dict in one step, with no `__init__`, `__post_init__`
-    or frozen `__setattr__` per field."""
+    `JobSequence` and `ScheduleTrace`, their column storage) already
+    valid and canonical: fills the instance dict in one step, with no
+    `__init__`, `__post_init__` or frozen `__setattr__` per field."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -105,7 +105,16 @@ class JobBehavior:
 
 @dataclass(frozen=True)
 class JobSequence:
-    """All jobs to simulate, plus the observation horizon."""
+    """All jobs to simulate, plus the observation horizon.
+
+    The jobs are kept as the engine reads them: `_job_tuples`, one
+    (task, index, release, phases) tuple per job in (task, index) order,
+    the fields of `JobBehavior` in order.  A sequence built from objects
+    (`JobSequence(jobs, horizon)`) sorts them and derives its tuples on
+    construction.  `generate_job_sequence` stores only the tuples it
+    drew; its `jobs` are built from them on first read and then cached.
+    Equality, hashing and repr are those of the fields either way.
+    """
 
     jobs: tuple[JobBehavior, ...]
     horizon: int
@@ -116,10 +125,23 @@ class JobSequence:
     def __post_init__(self) -> None:
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        jobs = tuple(sorted(self.jobs, key=lambda j: (j.task, j.index)))
+        object.__setattr__(self, "jobs", jobs)
         object.__setattr__(
-            self, "jobs",
-            tuple(sorted(self.jobs, key=lambda j: (j.task, j.index))),
+            self, "_job_tuples", tuple((j.task, j.index, j.release, j.phases) for j in jobs)
         )
+
+    def __getattr__(self, name: str):
+        # called only for attributes missing from the instance dict: the
+        # jobs of a generated sequence, not yet read
+        d = self.__dict__
+        if name != "jobs" or "_job_tuples" not in d:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        jobs = d["jobs"] = tuple(
+            _unchecked(JobBehavior, task=t, index=i, release=r, phases=p)
+            for t, i, r, p in d["_job_tuples"]
+        )
+        return jobs
 
 
 def validate_sequence(ts: TaskSet, seq: JobSequence) -> None:
@@ -182,74 +204,134 @@ class JobRecord:
     susp_spans: tuple[tuple[int, int], ...]
 
 
+# what the processor does while no job runs (a running job is its g)
+_SUSP, _WAIT = -1, -2
+
+# (task, index, release) of a job tuple
+_job_id = itemgetter(0, 1, 2)
+
+
 @dataclass(frozen=True)
 class ScheduleTrace:
     """A recorded schedule over [0, horizon): its intervals in time order
     and one record per job in (task, index) order.
 
-    Storage is columnar.  Two plain tuples hold the trace: `_rows`, one
-    (start, end, kind, task, job) tuple per interval, and `_job_rows`,
-    one (task, index, release, start, finish, exec_spans, susp_spans)
-    tuple per job, the fields of `Interval` and `JobRecord` in order.
-    The simulator fills only these; `intervals` and `jobs` are built
-    from them on first access and then cached.  A trace built from
-    objects (`ScheduleTrace(horizon, intervals, jobs)`,
-    `dataclasses.replace`) derives its tuples from them the same way.
-    Equality and hashing use the tuples and give what comparing and
-    hashing the fields would (a row hashes as its record does).  The
-    trace readers in this module (`export_trace`, `response_times`,
-    `check_feasibility`, `measure_state_times`) read only the tuples.
+    Storage is the engine's own record, in columns:
+
+    - `_job_tuples`: one tuple per job whose first three fields are
+      (task, index, release); a job's position g in it names the job;
+    - `_seg_start` and `_seg_who`: the k-th interval begins at
+      `_seg_start[k]` and ends where the next begins (the last at the
+      horizon); `_seg_who[k]` is the g of the job running in it, or
+      `_SUSP` / `_WAIT` when none runs;
+    - `_finish` and `_susp_spans`: each job's finish time (None if
+      unfinished at the horizon) and list of suspension spans.
+
+    The simulator fills only these, sharing its sequence's job tuples;
+    `intervals` and `jobs` are built from them on first access and then
+    cached.  A job's execution spans are its run intervals in order and
+    its start the first of them.  A trace built from objects
+    (`ScheduleTrace(horizon, intervals, jobs)`, `dataclasses.replace`)
+    derives the columns on construction: interval starts and states,
+    and the records' finish times and suspension spans.  The trace
+    readers in this module (`export_trace`, `response_times`,
+    `check_feasibility`, `measure_state_times`) read only the columns.
+
+    Two simulated traces compare by their columns, which gives what
+    comparing their fields would.  A trace built from objects may hold
+    what no schedule gives (records that disagree with the intervals,
+    intervals that leave a gap), which the columns do not show, so a
+    comparison with one compares the fields.  Hashing hashes the fields.
     """
 
     horizon: int
     intervals: tuple[Interval, ...]
     jobs: tuple[JobRecord, ...]
 
+    _by_fields = False      # set for a trace built from objects
+
+    def __post_init__(self) -> None:
+        pos = {(j.task, j.index): g for g, j in enumerate(self.jobs)}
+        # a state no column value names (a run of no record, an unknown
+        # kind) reads as waiting
+        self.__dict__.update(
+            _by_fields=True,
+            _job_tuples=[(j.task, j.index, j.release) for j in self.jobs],
+            _seg_start=[iv.start for iv in self.intervals],
+            _seg_who=[
+                pos.get((iv.task, iv.job), _WAIT) if iv.kind == "run"
+                else _SUSP if iv.kind == "susp" else _WAIT
+                for iv in self.intervals
+            ],
+            _finish=[j.finish for j in self.jobs],
+            _susp_spans=[list(j.susp_spans) for j in self.jobs],
+        )
+
     def __getattr__(self, name: str):
         # called only for attributes missing from the instance dict: the
-        # side of the storage this trace was not built with
-        d = self.__dict__
-        if name == "intervals" and "_rows" in d:
-            value = tuple(
-                _unchecked(Interval, start=s, end=e, kind=k, task=t, job=j)
-                for s, e, k, t, j in d["_rows"]
-            )
-        elif name == "jobs" and "_job_rows" in d:
-            value = tuple(
-                _unchecked(
-                    JobRecord, task=t, index=i, release=r, start=s, finish=f,
-                    exec_spans=es, susp_spans=ss,
-                )
-                for t, i, r, s, f, es, ss in d["_job_rows"]
-            )
-        elif name == "_rows" and "intervals" in d:
-            value = tuple((iv.start, iv.end, iv.kind, iv.task, iv.job) for iv in d["intervals"])
-        elif name == "_job_rows" and "jobs" in d:
-            value = tuple(
-                (j.task, j.index, j.release, j.start, j.finish, j.exec_spans, j.susp_spans)
-                for j in d["jobs"]
-            )
+        # objects of a simulated trace, not yet read
+        if name == "intervals":
+            value = self._intervals()
+        elif name == "jobs":
+            value = self._records()
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        d[name] = value
+        self.__dict__[name] = value
         return value
+
+    def _seg_end(self) -> list[int]:
+        ends = self._seg_start[1:]
+        ends.append(self.horizon)
+        return ends
+
+    def _intervals(self) -> tuple[Interval, ...]:
+        jobs = self._job_tuples
+        out = []
+        for s, e, w in zip(self._seg_start, self._seg_end(), self._seg_who):
+            if w >= 0:
+                out.append(_unchecked(Interval, start=s, end=e, kind="run",
+                                      task=jobs[w][0], job=jobs[w][1]))
+            else:
+                out.append(_unchecked(Interval, start=s, end=e,
+                                      kind="susp" if w == _SUSP else "wait", task=-1, job=-1))
+        return tuple(out)
+
+    def _records(self) -> tuple[JobRecord, ...]:
+        exec_spans: list[list[tuple[int, int]]] = [[] for _ in self._job_tuples]
+        for s, e, w in zip(self._seg_start, self._seg_end(), self._seg_who):
+            if w >= 0:
+                exec_spans[w].append((s, e))
+        return tuple(
+            _unchecked(
+                JobRecord, task=j[0], index=j[1], release=j[2],
+                start=spans[0][0] if spans else None, finish=fin,
+                exec_spans=tuple(spans), susp_spans=tuple(susp),
+            )
+            for j, spans, susp, fin
+            in zip(self._job_tuples, exec_spans, self._susp_spans, self._finish)
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.horizon, self._rows, self._job_rows) == (
-            other.horizon, other._rows, other._job_rows
+        if self._by_fields or other._by_fields:
+            return (self.horizon, self.intervals, self.jobs) == (
+                other.horizon, other.intervals, other.jobs
+            )
+        a, b = self._job_tuples, other._job_tuples
+        return (
+            (self.horizon, self._seg_start, self._seg_who, self._finish, self._susp_spans)
+            == (other.horizon, other._seg_start, other._seg_who, other._finish,
+                other._susp_spans)
+            and (a is b or list(map(_job_id, a)) == list(map(_job_id, b)))
         )
 
     def __hash__(self) -> int:
-        return hash((self.horizon, self._rows, self._job_rows))
+        return hash((self.horizon, self.intervals, self.jobs))
 
 
 # (task, index, release, canonical phases): one job as the engine reads it
 _EngineJob = tuple[int, int, int, tuple[tuple[int, int], ...]]
-
-# what the processor does while no job runs (a running job is its g)
-_SUSP, _WAIT = -1, -2
 
 
 def _run_engine(
@@ -263,9 +345,11 @@ def _run_engine(
     (release + `rel_points[task]`), equal points by task, then job index.
 
     Returns the per-job finish times (None if unfinished at the horizon)
-    and, when `record` is set, the full trace.  With `record` off the
-    trace is None and no intervals or execution/suspension spans are
-    built; the schedule itself is the same.
+    and, when `record` is set, the full trace: these finish times, the
+    segments and suspension spans kept during the run, and `jobs` itself
+    (see `ScheduleTrace`).  With `record` off the trace is None and no
+    segments or suspension spans are kept; the schedule itself is the
+    same.
 
     Each plan becomes signed steps in one flat list: +e executes e
     ticks, -s suspends s ticks, 0 finishes.  A pair (e, s) gives e if e
@@ -423,30 +507,16 @@ def _run_engine(
 
     if not record:
         return finish, None
-    # a job's execution spans are its run rows in order: rows are
-    # maximal, so two of one job never touch
-    exec_spans: list[list[tuple[int, int]]] = [[] for _ in range(nj)]
-    out_rows = []
-    seg_end = seg_start[1:]
-    seg_end.append(horizon)
-    for start_t, end_t, who in zip(seg_start, seg_end, seg_who[1:]):
-        if who >= 0:
-            exec_spans[who].append((start_t, end_t))
-            out_rows.append((start_t, end_t, "run", job_task[who], jobs[who][1]))
-        else:
-            out_rows.append((start_t, end_t, "susp" if who == _SUSP else "wait", -1, -1))
-    job_rows = tuple(
-        (task, index, release, spans[0][0] if spans else None, fin,
-         tuple(spans), tuple(susp))
-        for (task, index, release, _), spans, susp, fin
-        in zip(jobs, exec_spans, susp_spans, finish)
+    del seg_who[0]
+    trace = _unchecked(
+        ScheduleTrace, horizon=horizon, _job_tuples=jobs, _seg_start=seg_start,
+        _seg_who=seg_who, _finish=finish, _susp_spans=susp_spans,
     )
-    trace = _unchecked(ScheduleTrace, horizon=horizon, _rows=tuple(out_rows), _job_rows=job_rows)
     return finish, trace
 
 
-def _engine_jobs(seq: JobSequence) -> list[_EngineJob]:
-    return [(j.task, j.index, j.release, j.phases) for j in seq.jobs]
+def _engine_jobs(seq: JobSequence) -> tuple[_EngineJob, ...]:
+    return seq._job_tuples
 
 
 def _simulate(ts: TaskSet, rel_points: Sequence[int], seq: JobSequence) -> ScheduleTrace:
@@ -682,15 +752,10 @@ def generate_job_sequence(
     'wcet' or 'random' (uniform over [0, wcet]).
     """
     jobs = _draw_jobs(ts, horizon, seed, release_model, suspension_model, demand_model)
-    seq = JobSequence(
-        jobs=tuple(
-            _unchecked(JobBehavior, task=task, index=index, release=release, phases=plan)
-            for task, index, release, plan in jobs
-        ),
-        horizon=horizon,
-    )
-    object.__setattr__(seq, "_drawn_for", ts)
-    return seq
+    # the sequence is built without its constructor: check what it would
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    return _unchecked(JobSequence, horizon=horizon, _job_tuples=tuple(jobs), _drawn_for=ts)
 
 
 def random_run_feasible(
@@ -713,9 +778,7 @@ def random_run_feasible(
     pts = _check_points(ts, rel_points)
     jobs = _draw_jobs(ts, horizon, seed, release_model, suspension_model, demand_model)
     finish, _ = _run_engine(horizon, jobs, pts, record=False)
-    return _deadlines_met(
-        ts, horizon, ((j[0], j[2], f) for j, f in zip(jobs, finish))
-    )
+    return _deadlines_met(ts, horizon, jobs, finish)
 
 
 # --- trace inspection ---------------------------------------------------------
@@ -730,12 +793,13 @@ def response_times(
     per_job: dict[tuple[int, int], int] = {}
     per_task: dict[int, int] = {}
     unfinished: list[tuple[int, int]] = []
-    for task, index, release, _, finish, _, _ in trace._job_rows:
+    for job, finish in zip(trace._job_tuples, trace._finish):
         if finish is None:
-            unfinished.append((task, index))
+            unfinished.append(job[:2])
             continue
-        resp = finish - release
-        per_job[(task, index)] = resp
+        task = job[0]
+        resp = finish - job[2]
+        per_job[job[:2]] = resp
         if resp > per_task.get(task, -1):
             per_task[task] = resp
     return per_job, per_task, unfinished
@@ -747,20 +811,17 @@ def check_feasibility(trace: ScheduleTrace, ts: TaskSet) -> bool:
     with deadlines at or past the horizon cannot be judged and are not
     counted against feasibility.
     """
-    return _deadlines_met(ts, trace.horizon, map(_outcome_of, trace._job_rows))
-
-
-# (task, release, finish) of a job row
-_outcome_of = itemgetter(0, 2, 4)
+    return _deadlines_met(ts, trace.horizon, trace._job_tuples, trace._finish)
 
 
 def _deadlines_met(
-    ts: TaskSet, horizon: int, outcomes: Iterable[tuple[int, int, int | None]]
+    ts: TaskSet, horizon: int, jobs: Sequence[tuple], finishes: Sequence[int | None]
 ) -> bool:
-    """The rule of `check_feasibility` over (task, release, finish)."""
+    """The rule of `check_feasibility` over job tuples (task, index,
+    release, ...) and their finish times."""
     deadlines = [t.deadline for t in ts]
-    for task, release, finish in outcomes:
-        dl = release + deadlines[task]
+    for job, finish in zip(jobs, finishes):
+        dl = job[2] + deadlines[job[0]]
         if finish is not None:
             if finish > dl:
                 return False
@@ -777,12 +838,19 @@ def export_trace(trace: ScheduleTrace) -> str:
     (task index release start finish, '-' when absent), then one line
     per interval: start end state task job (task/job -1 unless running).
     """
+    starts, who = trace._seg_start, trace._seg_who
+    # each job's first run segment: read backwards, earlier starts
+    # overwrite later ones
+    first = dict(zip(reversed(who), reversed(starts)))
     lines = [TRACE_HEADER, f"# horizon {trace.horizon}"]
-    for task, index, release, start, finish, _, _ in trace._job_rows:
-        s = "-" if start is None else start
+    label = []   # of each g, then of _WAIT (-2) and _SUSP (-1)
+    for g, (job, finish) in enumerate(zip(trace._job_tuples, trace._finish)):
+        task, index = job[0], job[1]
         f = "-" if finish is None else finish
-        lines.append(f"# job {task} {index} {release} {s} {f}")
-    lines.extend(f"{s} {e} {k} {t} {j}" for s, e, k, t, j in trace._rows)
+        lines.append(f"# job {task} {index} {job[2]} {first.get(g, '-')} {f}")
+        label.append(f"run {task} {index}")
+    label += ("wait -1 -1", "susp -1 -1")
+    lines.extend(f"{s} {e} {label[w]}" for s, e, w in zip(starts, trace._seg_end(), who))
     return "\n".join(lines) + "\n"
 
 
@@ -814,8 +882,7 @@ class StateTimes:
     ref_interference: dict[int, int]
 
 
-_task_of = itemgetter(0)   # of a job row
-_end_of = itemgetter(1)    # of an interval row
+_task_of = itemgetter(0)   # of a job tuple
 
 
 def measure_state_times(
@@ -831,7 +898,8 @@ def measure_state_times(
 
     Dispatch order is (release + relative point, task, job index),
     matching the simulator.  A window with start >= end yields all
-    zeros.  Requires 0 <= start and end <= horizon.
+    zeros.  Requires 0 <= start and end <= horizon, and `ref_index`, if
+    given, to name a job of `task` in the trace, whatever the window.
 
     One forward sweep over the window.  Jobs of a task execute in release
     order, so only the task's first unfinished job can have begun: it is
@@ -839,41 +907,43 @@ def measure_state_times(
     of the sweep ends at the nearest interval end or the current job's
     release, finish or suspension boundary, and costs O(1).  With J jobs
     and I intervals in the trace, K jobs of `task` and W intervals inside
-    the window, a call costs O(n log J + log I + W + K): its time follows
-    the window's length, not the horizon's.  The trace is one the
+    the window, a call costs O(n + log J + log I + W + K): its time
+    follows the window's length, not the horizon's.  The trace is one the
     simulator returned (jobs in (task, index) order, the indices of a
-    task consecutive from 0).
+    task consecutive from 0), so a job's position g in it orders equal
+    points as (task, index) does.
     """
     pts = _check_points(ts, rel_points)
     n = len(ts)
     if not 0 <= task < n:
         raise ValueError(f"task {task} outside [0, {n})")
+    jobs = trace._job_tuples
+    lo = bisect_left(jobs, task, key=_task_of)
+    k_count = bisect_right(jobs, task, lo, key=_task_of) - lo
+    if ref_index is not None and not 0 <= ref_index < k_count:
+        raise ValueError(f"task {task} has no job {ref_index} in the trace")
     interference = {i: 0 for i in range(n) if i != task}
-    ref_interference = (
-        {i: 0 for i in range(n) if i != task} if ref_index is not None else {}
-    )
-    jobs = trace._job_rows
-    first = [bisect_left(jobs, i, key=_task_of) for i in range(n)]
-    k_jobs = jobs[first[task]:bisect_right(jobs, task, first[task], key=_task_of)]
-    per_job = {j[1]: 0 for j in k_jobs}
+    ref_interference = dict(interference) if ref_index is not None else {}
+    per_job = {jobs[g][1]: 0 for g in range(lo, lo + k_count)}
     if start >= end:
         return StateTimes(0, 0, interference, per_job, ref_interference)
     if start < 0 or end > trace.horizon:
         raise ValueError("window must lie within [0, horizon]")
 
     own = pts[task]
+    # dispatch keys (absolute point, g)
     ref_key = None
     if ref_index is not None:
-        if not 0 <= ref_index < len(k_jobs):
-            raise ValueError(f"task {task} has no job {ref_index} in the trace")
-        ref_key = (k_jobs[ref_index][2] + own, task, ref_index)
+        ref_key = (jobs[lo + ref_index][2] + own, lo + ref_index)
 
-    intervals = trace._rows
-    i = bisect_right(intervals, start, key=_end_of)
+    finish, susp_spans = trace._finish, trace._susp_spans
+    seg_start, seg_who = trace._seg_start, trace._seg_who
+    last = len(seg_start) - 1
+    i = bisect_right(seg_start, start) - 1     # the interval holding start
     inactive = progress = 0
-    # the current job: its position in k_jobs, release, finish (`end`
-    # when unfinished), key, suspension spans and the first span not yet
-    # over
+    # the current job: its position p among the task's jobs, its g,
+    # release, finish (`end` when unfinished), key, suspension spans and
+    # the first span not yet over
     p = -1
     cur_fin = start
     cur = None
@@ -881,21 +951,23 @@ def measure_state_times(
     while t < end:
         while cur_fin <= t:
             p += 1
-            if p == len(k_jobs):
+            if p == k_count:
                 cur = None
                 cur_fin = end
                 break
-            cur = k_jobs[p]
-            cur_rel = cur[2]
-            cur_fin = end if cur[4] is None else cur[4]
-            cur_key = (cur_rel + own, task, p)
-            spans = cur[6]
+            cur = lo + p
+            cur_rel = jobs[cur][2]
+            cur_fin = end if finish[cur] is None else finish[cur]
+            cur_key = (cur_rel + own, cur)
+            spans = susp_spans[cur]
             s = 0
-        _, iv_end, _, r, rj = intervals[i]
+        iv_end = seg_start[i + 1] if i < last else trace.horizon
         nxt = iv_end if iv_end < end else end
+        w = seg_who[i]
+        r = jobs[w][0] if w >= 0 else -1
         rkey = None
         if r >= 0 and r != task:
-            rkey = (jobs[first[r] + rj][2] + pts[r], r, rj)
+            rkey = (jobs[w][2] + pts[r], w)
         suspended = False
         active = cur is not None and cur_rel <= t
         if active:

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from elsched import (
-    PriorityPolicy, analysis, derive_priority_points, experiments, generator, load_taskset,
+    PriorityPolicy, analysis, derive_priority_points, experiments, generate_job_sequence,
+    generator, load_taskset,
 )
 from elsched.cli import build_parser, main
 from elsched.model import POLICY_KINDS
@@ -218,6 +219,21 @@ def test_simulate_smoke(worked_file, tmp_path, capsys):
     assert "horizon 200" in out
     assert "feasible:" in out
     assert trace_out.read_text().startswith("# el-sched trace v1\n")
+
+
+def test_simulate_summary_is_pinned(ref_file, capsys):
+    # The job count covers finished and unfinished jobs alike: it is the
+    # number of jobs generated.
+    assert main(["simulate", str(ref_file), "--policy", "tfp", "--horizon", "30",
+                 "--seed", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "tfp: horizon 30, 8 jobs, feasible: yes\n"
+        "  task 0: worst observed response 2 / deadline 5\n"
+        "  task 1: worst observed response 13 / deadline 16\n"
+        "  unfinished at horizon: 1 jobs\n"
+    )
+    ts = load_taskset(ref_file)
+    assert len(generate_job_sequence(ts, 30, 4).jobs) == 8
 
 
 def test_simulate_empty_set_exits_two(tmp_path, capsys):

@@ -316,6 +316,30 @@ def test_simulate_validates_generated_sequences_against_other_task_sets():
             simulate_tfp(other, s)
 
 
+def test_generated_sequence_matches_its_object_built_twin():
+    # A generated sequence stores only its engine tuples and builds its
+    # jobs on first read; it compares, hashes and prints like the same
+    # jobs passed to the constructor, in either order, and feeds the
+    # engine the same tuples.  The twin is hand-built, so it is checked.
+    ts = TaskSet((Task(3, 2, 9, 9), Task(5, 4, 20, 20)))
+    lower = TaskSet((Task(2, 2, 9, 9), Task(5, 4, 20, 20)))
+    for seed in range(5):
+        twin = JobSequence(generate_job_sequence(ts, 100, seed).jobs, horizon=100)
+        for twin_first in (False, True):
+            fresh = generate_job_sequence(ts, 100, seed)
+            assert "jobs" not in vars(fresh)
+            a, b = (twin, fresh) if twin_first else (fresh, twin)
+            assert a == b and b == a
+            assert hash(fresh) == hash(twin) and repr(fresh) == repr(twin)
+            assert fresh.jobs == twin.jobs and fresh.jobs is fresh.jobs
+            assert _engine_jobs(fresh) == _engine_jobs(twin)
+            assert simulate_el(ts, (9, 20), fresh) == simulate_el(ts, (9, 20), twin)
+        with pytest.raises(ValueError):
+            validate_sequence(lower, twin)
+        with pytest.raises(ValueError):
+            simulate_el(lower, (9, 20), twin)
+
+
 # --- sequence generation ----------------------------------------------------------------
 
 
@@ -373,6 +397,13 @@ def test_generate_rejects_unknown_models():
         generate_job_sequence(ts, 10, seed=0, suspension_model="lots")
     with pytest.raises(ValueError):
         generate_job_sequence(ts, 10, seed=0, demand_model="zero")
+
+
+def test_generate_rejects_nonpositive_horizon():
+    ts = TaskSet((Task(2, 0, 5, 5),))
+    for horizon in (0, -1):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            generate_job_sequence(ts, horizon, seed=0)
 
 
 # Digests of the generated jobs (task, index, release, phases) per model
@@ -870,6 +901,17 @@ def test_state_times_rejects_bad_windows():
             measure_state_times(trace, REF, REF_POINTS, task, 0, 16)
 
 
+def test_state_times_checks_ref_index_in_empty_windows():
+    # A reference job the trace lacks is an error whatever the window,
+    # an empty one included.
+    trace = simulate_el(REF, REF_POINTS, reference_sequence())
+    for a, b in ((5, 5), (5, 6), (6, 5)):
+        with pytest.raises(ValueError, match="task 1 has no job 9 in the trace"):
+            measure_state_times(trace, REF, REF_POINTS, 1, a, b, ref_index=9)
+    empty = measure_state_times(trace, REF, REF_POINTS, 1, 5, 5, ref_index=0)
+    assert (empty.inactive, empty.progress, empty.ref_interference) == (0, 0, {0: 0})
+
+
 def _per_tick_state_times(trace, ts, pts, task, start, end, ref_index=None):
     """Brute-force per-tick re-derivation of the state buckets."""
     n = len(ts)
@@ -1212,18 +1254,38 @@ def test_engine_and_object_built_traces_agree():
 
 
 def test_trace_readers_build_no_objects(monkeypatch):
-    # The readers work on the rows alone: with the record types out of
-    # reach they still run, and the trace caches no objects.
+    # The readers work on the engine's columns alone: with the record
+    # types out of reach they still run, and the trace holds afterwards
+    # just what the engine stored, with no rows or objects built.
     rng = random.Random(6_161)
     for _ in range(30):
         ts, pts, seq, _ = _random_trace(rng)
         trace = simulate_el(ts, pts, seq)
+        stored = set(vars(trace))
+        assert stored.isdisjoint({"_rows", "_job_rows", "intervals", "jobs"})
         with monkeypatch.context() as m:
             m.setattr(simulator, "Interval", None)
             m.setattr(simulator, "JobRecord", None)
             _read_all(trace, ts, pts)
             assert trace == simulate_el(ts, pts, seq)
-        assert set(vars(trace)) == {"horizon", "_rows", "_job_rows"}
+        assert set(vars(trace)) == stored
+
+
+def test_object_built_traces_compare_by_their_fields():
+    # A trace built from objects may hold what no schedule gives, which
+    # its columns do not show: a record that disagrees with the
+    # intervals, or an interval that ends before the next begins.  It
+    # still compares by its fields.
+    trace = simulate_el(REF, REF_POINTS, reference_sequence())
+    ivs, jobs = trace.intervals, trace.jobs
+    odd = (
+        ScheduleTrace(16, ivs, jobs[:-1] + (dataclasses.replace(jobs[-1], start=3),)),
+        ScheduleTrace(16, (dataclasses.replace(ivs[0], end=1),) + ivs[1:], jobs),
+    )
+    for bad in odd:
+        fresh = simulate_el(REF, REF_POINTS, reference_sequence())
+        assert fresh != bad and bad != fresh and not fresh == bad
+        assert bad == ScheduleTrace(16, bad.intervals, bad.jobs)
 
 
 def test_response_times_exclude_unfinished_jobs():
