@@ -49,6 +49,13 @@ least total at the same first offset.  The cost of a stage grows with
 the ranges that can still hold a new minimum, not with the number of
 grid points.
 
+A task's grid step and its row of interference caps are made when the
+task is computed, not up front for every task: a verdict-only run often
+computes only a few tasks.  Its interferers are summed in task order.
+Every ceiling term is non-negative, so that order decides only how soon
+a partial sum passes the least total found so far and the scan cuts it
+off; it never changes a total, a dropped range or a result.
+
 With `verdict_only`, the passes end after the first one in which every
 task is certified.  Every later pass would end certified too, so the
 verdict is the full run's.  The bounds are sound, each found against
@@ -135,19 +142,6 @@ def _deadline_descending(D: Sequence[int]) -> list[int]:
     return sorted(range(len(D)), key=lambda k: -D[k])
 
 
-def _grid_steps(D: Sequence[int], eta: Fraction) -> list[int]:
-    p, q = eta.numerator, eta.denominator
-    return [max(1, _round_ratio(p * d, q)) for d in D]
-
-
-def _caps(C: Sequence[int], D: Sequence[int], pp: Sequence[int]) -> list[list[int]]:
-    # min(D_k - C_i, pp_k - pp_i), without a call per pair
-    return [
-        [d - c if d - c < p - q else p - q for c, q in zip(C, pp)]
-        for d, p in zip(D, pp)
-    ]
-
-
 def _reach_floor(
     Dk: int, Tk: int, csk: int, terms: Sequence[tuple[int, int, int]], lcm: int,
     a: int, max_a: int,
@@ -208,8 +202,9 @@ def _window_core(
     # (see the module docstring) are marked where they are taken.
     n = len(C)
     order = _deadline_descending(D)
-    steps = _grid_steps(D, cfg.eta)
-    caps = _caps(C, D, pp)
+    eta_p, eta_q = cfg.eta.numerator, cfg.eta.denominator
+    # the tasks that interfere at all: (index, wcet, period, point)
+    peers = [(i, C[i], T[i], pp[i]) for i in range(n) if C[i] > 0]
     stages = cfg.max_a + 1 if reach_back else 1
     lcm = math.lcm(*T) if reach_back else 1
     rb = list(D)
@@ -235,13 +230,15 @@ def _window_core(
             Dk = D[k]
             Tk = T[k]
             csk = C[k] + S[k]
-            step = steps[k]
-            row = caps[k]
-            # largest first at b = 0, so the sum passes best sooner
-            terms = sorted(
-                ((row[i] + rb[i], T[i], C[i]) for i in range(n) if i != k and C[i] > 0),
-                key=lambda t: (t[0] // -t[1]) * t[2],
-            )
+            # k's grid step and its cap row min(D_k - C_i, pp_k - pp_i),
+            # made only for a task that is computed; the interferers stay
+            # in task order, which decides only how soon a sum passes best
+            step = max(1, _round_ratio(eta_p * Dk, eta_q))
+            ppk = pp[k]
+            terms = [
+                ((Dk - ci if Dk - ci < ppk - pi else ppk - pi) + rb[i], ti, ci)
+                for i, ci, ti, pi in peers if i != k
+            ]
             last = minima[k]
             stage_best: list[int] = []
             stage_b: list[int] = []

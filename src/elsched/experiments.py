@@ -30,9 +30,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -57,6 +57,15 @@ from .simulator import (
     simulate_el,
     simulate_tfp,
 )
+
+
+def __getattr__(name: str) -> object:
+    # ProcessPoolExecutor loads when a campaign starts a pool: importing
+    # it pulls in multiprocessing, which a serial run never uses
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def worker_count() -> int:
@@ -88,7 +97,8 @@ def parallel_map(fn: Callable, items: Sequence, workers: int | None = None,
         return _until(map(fn, items), until)
     step = len(items) if until is None else 8 * w  # at most one step runs past a stop
     chunk = max(1, step // (w * 4))
-    with ProcessPoolExecutor(max_workers=w) as pool:
+    # looked up on the module, so a class set over the name is the one used
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=w) as pool:
         return _until((r for i in range(0, len(items), step)
                        for r in pool.map(fn, items[i:i + step], chunksize=chunk)), until)
 

@@ -82,6 +82,11 @@ def uunifast(n: int, u_total: Fraction | float, rng: random.Random) -> list[Frac
     return [Fraction(m, den) for m in nums]
 
 
+def _exact(value: object) -> Fraction:
+    """value as a Fraction; one already a Fraction is kept as it is."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters for one synthesized task set.
@@ -101,16 +106,21 @@ class GenSpec:
     suspension_factor_range: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1, 2))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u_total", Fraction(self.u_total))
-        object.__setattr__(self, "deadline_factor", Fraction(self.deadline_factor))
-        object.__setattr__(
-            self, "suspension_factor_range",
-            (Fraction(self.suspension_factor_range[0]), Fraction(self.suspension_factor_range[1])),
-        )
+        u = _exact(self.u_total)
+        x = _exact(self.deadline_factor)
+        slo, shi = _exact(self.suspension_factor_range[0]), _exact(self.suspension_factor_range[1])
+        object.__setattr__(self, "u_total", u)
+        object.__setattr__(self, "deadline_factor", x)
+        object.__setattr__(self, "suspension_factor_range", (slo, shi))
         if self.n < 1:
             raise ValueError(f"need at least one task, got n={self.n}")
-        if not 0 < self.u_total <= self.n:
-            raise ValueError(f"u_total must be in (0, n], got {self.u_total}")
+        # the task count sizes the draw, so it must be an integer
+        if not isinstance(self.n, int):
+            raise ValueError(f"task count n must be an integer, got {self.n!r}")
+        # the rational ranges, compared on numerators and denominators
+        # (every denominator is positive)
+        if not 0 < u.numerator <= self.n * u.denominator:
+            raise ValueError(f"u_total must be in (0, n], got {u}")
         lo, hi = self.period_range
         # NaN fails every comparison, and periods are drawn log-uniformly
         # in ticks, which must stay finite floats
@@ -118,12 +128,9 @@ class GenSpec:
             raise ValueError(f"bad period range {self.period_range}")
         if round(lo * TICKS_PER_MS) < 1:
             raise ValueError("shortest period must be at least one tick")
-        if self.deadline_factor < 1:
-            raise ValueError(
-                f"deadline_factor must be >= 1, got {self.deadline_factor}"
-            )
-        slo, shi = self.suspension_factor_range
-        if slo < 0 or shi < slo:
+        if x.numerator < x.denominator:
+            raise ValueError(f"deadline_factor must be >= 1, got {x}")
+        if slo.numerator < 0 or shi.numerator * slo.denominator < slo.numerator * shi.denominator:
             raise ValueError(f"bad suspension range {self.suspension_factor_range}")
 
 
@@ -145,22 +152,26 @@ def synthesize_counting(spec: GenSpec) -> tuple[TaskSet, int]:
                 f"gave up after {discards} utilization redraws for {spec}"
             )
     lo_ln = math.log(spec.period_range[0] * TICKS_PER_MS)
-    hi_ln = math.log(spec.period_range[1] * TICKS_PER_MS)
+    # rng.uniform(lo_ln, hi_ln) is lo_ln + (hi_ln - lo_ln) * rng.random(),
+    # written out here: the same draws and the same floats, without a call
+    span_ln = math.log(spec.period_range[1] * TICKS_PER_MS) - lo_ln
+    draw = rng.random
     x = spec.deadline_factor
     slo, shi = spec.suspension_factor_range
+    xp, xq = x.numerator, x.denominator
+    lp, lq = slo.numerator, slo.denominator
+    hp, hq = shi.numerator, shi.denominator
     tasks = []
     for m in nums:
-        period = int(math.exp(rng.uniform(lo_ln, hi_ln)) + 0.5)
+        period = int(math.exp(lo_ln + span_ln * draw()) + 0.5)
         wcet = _round_ratio(m * period, den)
-        deadline = _round_ratio(x.numerator * period, x.denominator)
+        deadline = _round_ratio(xp * period, xq)
         slack = period - wcet
         if slack > 0:
-            s_lo = _round_ratio(slo.numerator * slack, slo.denominator)
-            s_hi = _round_ratio(shi.numerator * slack, shi.denominator)
-            susp = rng.randint(s_lo, s_hi)
+            susp = rng.randint(_round_ratio(lp * slack, lq), _round_ratio(hp * slack, hq))
         else:
             susp = 0
-        tasks.append(Task(wcet=wcet, suspension=susp, deadline=deadline, period=period))
+        tasks.append(Task(wcet, susp, deadline, period))
     tasks.sort(key=lambda t: t.deadline)
     return TaskSet(tuple(tasks)), discards
 

@@ -60,6 +60,12 @@ class Task:
     period: int
 
     def __post_init__(self) -> None:
+        c, s, d, t = self.wcet, self.suspension, self.deadline, self.period
+        # four plain ints that meet the invariants need no further look;
+        # anything else takes the checks below, which name what is wrong
+        if (type(c) is int and type(s) is int and type(d) is int and type(t) is int
+                and 0 <= c <= d and s >= 0 and t > 0):
+            return
         for name in ("wcet", "suspension", "deadline", "period"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):

@@ -15,6 +15,7 @@ import random
 import re
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Sequence
 
 import pytest
 
@@ -36,7 +37,7 @@ from elsched import TestConfig as IterConfig  # alias: keep pytest collection aw
 from elsched import test_fixed as fixed_test
 from elsched import test_tfp as tfp_test
 from elsched import test_variable as variable_test
-from elsched.analysis import TESTS, _caps, run_test
+from elsched.analysis import TESTS, run_test
 from elsched.model import POLICY_KINDS, WEIGHTED_KINDS
 
 WORKED = TaskSet((Task(1, 0, 5, 5), Task(2, 1, 16, 16)))
@@ -84,9 +85,16 @@ def interference_window_cap(k, i, ts, rel_points):
 
 
 def test_window_cap_hand_values():
+    def _caps(C: Sequence[int], D: Sequence[int], pp: Sequence[int]) -> list[list[int]]:
+        # min(D_k - C_i, pp_k - pp_i), without a call per pair
+        return [
+            [d - c if d - c < p - q else p - q for c, q in zip(C, pp)]
+            for d, p in zip(D, pp)
+        ]
+
     assert interference_window_cap(1, 0, REF, REF_POINTS) == 6
     assert interference_window_cap(0, 1, REF, REF_POINTS) == -6
-    # the kernel's own cap matrix holds the same values
+    # the cap matrix the kernel's rows follow holds the same values
     caps = _caps([t.wcet for t in REF], [t.deadline for t in REF], REF_POINTS)
     assert (caps[1][0], caps[0][1]) == (6, -6)
 

@@ -508,13 +508,15 @@ def test_policy_flags_exit_two_or_print_the_policy_label(worked_file):
             points = None if pp is None else tuple(int(p) for p in pp.split(","))
             policy = PriorityPolicy(kind, weight, points)
             derive_priority_points(ts, policy)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):  # Fraction("1/0") divides by zero
             return None
         return policy.label()
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(st.sampled_from(["analyze", "analyze-csv", "simulate"]),
                       st.sampled_from(POLICY_KINDS), lambdas, pps)
+    @hypothesis.example("analyze", "eqdf", "1/0", None)
+    @hypothesis.example("analyze", "eqdf", "0/0", None)
     def check(command, kind, lam, pp):
         argv = [command.split("-")[0], str(worked_file), "--policy", kind]
         argv += [] if lam is None else [f"--lambda={lam}"]

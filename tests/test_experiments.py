@@ -7,7 +7,10 @@ import csv
 import dataclasses
 import hashlib
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -463,6 +466,26 @@ def test_small_campaign_starts_no_pool(monkeypatch, name):
     monkeypatch.setenv("EL_SCHED_THREADS", "2")
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
     assert _digest(CAMPAIGNS[name]()) == CAMPAIGN_DIGESTS[name]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool class loads with the first pool a campaign starts, so a
+    # fresh process pays nothing for multiprocessing on import
+    code = (
+        "import sys, elsched.cli\n"
+        "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "import concurrent.futures\n"
+        "from elsched import experiments\n"
+        "assert experiments.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor\n"
+    )
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("campaign", [

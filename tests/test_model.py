@@ -61,6 +61,36 @@ def test_task_rejects_non_integer_fields(fields):
         Task(*fields)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((True, 0, 5, 5), "wcet must be an integer tick count, got True"),
+    ((1, False, 5, 5), "suspension must be an integer tick count, got False"),
+    ((1, 0, 5.0, 5), "deadline must be an integer tick count, got 5.0"),
+    ((1, 0, 5, 2.5), "period must be an integer tick count, got 2.5"),
+    ((1, 0, 5, 0), "period must be positive, got 0"),
+    ((-1, 0, 5, 5), "task parameters must be non-negative"),
+    ((1, -1, 5, 5), "task parameters must be non-negative"),
+    ((1, 0, -1, 5), "task parameters must be non-negative"),
+    ((6, 0, 5, 5), "wcet 6 exceeds deadline 5"),
+])
+def test_task_refusals_name_what_is_wrong(fields, message):
+    # plain ints that meet the invariants skip the field-by-field checks;
+    # everything else still meets them, with their messages
+    with pytest.raises(TasksetFormatError) as info:
+        Task(*fields)
+    assert str(info.value) == message
+
+
+def test_task_accepts_int_subclasses():
+    class Ticks(int):
+        pass
+
+    t = Task(Ticks(2), 1, Ticks(16), 16)
+    assert t == Task(2, 1, 16, 16)
+    assert type(t.wcet) is Ticks
+    with pytest.raises(TasksetFormatError, match="wcet 17 exceeds deadline 16"):
+        Task(Ticks(17), 1, 16, 16)
+
+
 def test_task_zero_demand_allowed():
     t = Task(0, 0, 0, 1)
     assert t.wcet == 0 and t.deadline == 0

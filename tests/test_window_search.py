@@ -20,6 +20,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -36,13 +37,24 @@ from elsched import TestConfig as IterConfig  # alias: keep pytest collection aw
 from elsched import test_variable as variable_test
 from elsched.analysis import (
     TESTS,
-    _caps,
     _deadline_descending,
-    _grid_steps,
     _reach_floor,
     run_test,
 )
-from elsched.model import POLICY_KINDS
+from elsched.model import POLICY_KINDS, _round_ratio
+
+
+def _grid_steps(D: Sequence[int], eta: Fraction) -> list[int]:
+    p, q = eta.numerator, eta.denominator
+    return [max(1, _round_ratio(p * d, q)) for d in D]
+
+
+def _caps(C: Sequence[int], D: Sequence[int], pp: Sequence[int]) -> list[list[int]]:
+    # min(D_k - C_i, pp_k - pp_i), without a call per pair
+    return [
+        [d - c if d - c < p - q else p - q for c, q in zip(C, pp)]
+        for d, p in zip(D, pp)
+    ]
 
 
 def _plain_window_core(C, S, D, T, pp, cfg, reach_back):
