@@ -117,9 +117,7 @@ class GenSpec:
         # the task count sizes the draw, so it must be an integer
         if not isinstance(self.n, int):
             raise ValueError(f"task count n must be an integer, got {self.n!r}")
-        # the rational ranges, compared on numerators and denominators
-        # (every denominator is positive)
-        if not 0 < u.numerator <= self.n * u.denominator:
+        if not 0 < u <= self.n:
             raise ValueError(f"u_total must be in (0, n], got {u}")
         lo, hi = self.period_range
         # NaN fails every comparison, and periods are drawn log-uniformly
@@ -128,9 +126,9 @@ class GenSpec:
             raise ValueError(f"bad period range {self.period_range}")
         if round(lo * TICKS_PER_MS) < 1:
             raise ValueError("shortest period must be at least one tick")
-        if x.numerator < x.denominator:
+        if x < 1:
             raise ValueError(f"deadline_factor must be >= 1, got {x}")
-        if slo.numerator < 0 or shi.numerator * slo.denominator < slo.numerator * shi.denominator:
+        if slo < 0 or shi < slo:
             raise ValueError(f"bad suspension range {self.suspension_factor_range}")
 
 

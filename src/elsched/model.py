@@ -61,23 +61,18 @@ class Task:
 
     def __post_init__(self) -> None:
         c, s, d, t = self.wcet, self.suspension, self.deadline, self.period
-        # four plain ints that meet the invariants need no further look;
-        # anything else takes the checks below, which name what is wrong
-        if (type(c) is int and type(s) is int and type(d) is int and type(t) is int
-                and 0 <= c <= d and s >= 0 and t > 0):
-            return
-        for name in ("wcet", "suspension", "deadline", "period"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TasksetFormatError(f"{name} must be an integer tick count, got {v!r}")
-        if self.period <= 0:
-            raise TasksetFormatError(f"period must be positive, got {self.period}")
-        if self.wcet < 0 or self.suspension < 0 or self.deadline < 0:
+        # four plain ints need no field-by-field type check
+        if not (type(c) is int and type(s) is int and type(d) is int and type(t) is int):
+            for name in ("wcet", "suspension", "deadline", "period"):
+                v = getattr(self, name)
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise TasksetFormatError(f"{name} must be an integer tick count, got {v!r}")
+        if t <= 0:
+            raise TasksetFormatError(f"period must be positive, got {t}")
+        if c < 0 or s < 0 or d < 0:
             raise TasksetFormatError("task parameters must be non-negative")
-        if self.wcet > self.deadline:
-            raise TasksetFormatError(
-                f"wcet {self.wcet} exceeds deadline {self.deadline}"
-            )
+        if c > d:
+            raise TasksetFormatError(f"wcet {c} exceeds deadline {d}")
 
     @property
     def utilization(self) -> Fraction:

@@ -15,7 +15,6 @@ import random
 import re
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Sequence
 
 import pytest
 
@@ -85,18 +84,8 @@ def interference_window_cap(k, i, ts, rel_points):
 
 
 def test_window_cap_hand_values():
-    def _caps(C: Sequence[int], D: Sequence[int], pp: Sequence[int]) -> list[list[int]]:
-        # min(D_k - C_i, pp_k - pp_i), without a call per pair
-        return [
-            [d - c if d - c < p - q else p - q for c, q in zip(C, pp)]
-            for d, p in zip(D, pp)
-        ]
-
     assert interference_window_cap(1, 0, REF, REF_POINTS) == 6
     assert interference_window_cap(0, 1, REF, REF_POINTS) == -6
-    # the cap matrix the kernel's rows follow holds the same values
-    caps = _caps([t.wcet for t in REF], [t.deadline for t in REF], REF_POINTS)
-    assert (caps[1][0], caps[0][1]) == (6, -6)
 
 
 def test_window_cap_zero_when_both_arguments_zero():

@@ -309,50 +309,38 @@ def test_genspec_validation():
         GenSpec(**{**good, "suspension_factor_range": (Fraction(-1), Fraction(0))})
 
 
-def _genspec_refusal(n, u, x, srange):
-    """The message GenSpec refuses these fields with, by its rule in
-    Fraction comparisons, or None when it takes them (default periods)."""
-    u, x = Fraction(u), Fraction(x)
-    srange = (Fraction(srange[0]), Fraction(srange[1]))
-    if n < 1:
-        return f"need at least one task, got n={n}"
-    if not 0 < u <= n:
-        return f"u_total must be in (0, n], got {u}"
-    if x < 1:
-        return f"deadline_factor must be >= 1, got {x}"
-    if srange[0] < 0 or srange[1] < srange[0]:
-        return f"bad suspension range {srange}"
-    return None
+def _genspec_outcome(**fields):
+    """The rational fields GenSpec builds from these values, or the
+    message it refuses them with."""
+    try:
+        spec = GenSpec(seed=0, **fields)
+    except ValueError as refusal:
+        return str(refusal)
+    return (spec.u_total, spec.deadline_factor, *spec.suspension_factor_range)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_genspec_takes_any_rational_form_by_one_rule(n):
-    # int, str, float and Fraction values give equal Fraction fields, and
-    # the range checks on numerators and denominators refuse what the
-    # Fraction comparisons refuse, with the same message
+    # int, str and float values build the Fraction fields, and meet the
+    # refusals and messages, that the same values given as Fractions do
     us = [0, 1, 3, 4, "1/2", "-1/3", 0.5, 2.75, Fraction(3), Fraction(7, 2)]
     xs = [1, 2, "3/2", "2/3", 0.5, 1.0, Fraction(1), Fraction(5, 6)]
     sranges = [(0, "1/2"), ("1/4", 0.25), (0.5, Fraction(1, 4)), (Fraction(-1, 8), 1), (1, 3)]
     seen = set()
     for u in us:
         for x in xs:
-            for srange in sranges:
-                message = _genspec_refusal(n, u, x, srange)
-                seen.add(message is None or message.split()[0])
-                if message is not None:
-                    with pytest.raises(ValueError) as info:
-                        GenSpec(n=n, u_total=u, seed=0, deadline_factor=x,
-                                suspension_factor_range=srange)
-                    assert str(info.value) == message
-                    continue
-                spec = GenSpec(n=n, u_total=u, seed=0, deadline_factor=x,
-                               suspension_factor_range=srange)
-                fields = (spec.u_total, spec.deadline_factor, *spec.suspension_factor_range)
-                assert all(type(f) is Fraction for f in fields)
-                assert spec == GenSpec(
-                    n=n, u_total=Fraction(u), seed=0, deadline_factor=Fraction(x),
-                    suspension_factor_range=(Fraction(srange[0]), Fraction(srange[1])),
+            for lo, hi in sranges:
+                got = _genspec_outcome(n=n, u_total=u, deadline_factor=x,
+                                       suspension_factor_range=(lo, hi))
+                assert got == _genspec_outcome(
+                    n=n, u_total=Fraction(u), deadline_factor=Fraction(x),
+                    suspension_factor_range=(Fraction(lo), Fraction(hi)),
                 )
+                if isinstance(got, str):
+                    seen.add(got.split()[0])
+                else:
+                    assert all(type(f) is Fraction for f in got)
+                    seen.add(True)
     assert seen == ({"need"} if n < 1 else {True, "u_total", "deadline_factor", "bad"})
 
 

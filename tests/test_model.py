@@ -73,8 +73,8 @@ def test_task_rejects_non_integer_fields(fields):
     ((6, 0, 5, 5), "wcet 6 exceeds deadline 5"),
 ])
 def test_task_refusals_name_what_is_wrong(fields, message):
-    # plain ints that meet the invariants skip the field-by-field checks;
-    # everything else still meets them, with their messages
+    # plain ints skip only the field-by-field type check; every refusal
+    # keeps its message
     with pytest.raises(TasksetFormatError) as info:
         Task(*fields)
     assert str(info.value) == message
