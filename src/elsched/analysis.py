@@ -23,15 +23,16 @@ below and the verdict-only exit rest on this.
 
 The search takes four shortcuts, each exact: it returns every verdict,
 bound, offset and pass count that rescanning every task and stage from
-scratch, offset by offset, would.  A task's outcome is a function of the
-other tasks' bounds, so a task is recomputed only after one of them
-changed.  No stage minimum rises, so a stage scan starts just above its
-last minimum: with the strict-< first-minimum rule it still ends on the
-same least value at the same first offset.  Before each reach-back
-stage, a floor bounds every total within the period in the stages left,
-from below (each ceiling term is at least its argument); a floor above
-the period means the task fails there, as it would after scanning every
-stage.
+scratch, offset by offset, would.  (A verdict-only run takes one more,
+which keeps all but the offsets; see the last paragraph.)  A task's
+outcome is a function of the other tasks' bounds, so a task is
+recomputed only after one of them changed.  No stage minimum rises, so
+a stage scan starts just above its last minimum: with the strict-<
+first-minimum rule it still ends on the same least value at the same
+first offset.  Before each reach-back stage, a floor bounds every total
+within the period in the stages left, from below (each ceiling term is
+at least its argument); a floor above the period means the task fails
+there, as it would after scanning every stage.
 
 Within a stage, the grid offsets are scanned as ranges of indices, depth
 first and left to right.  A window total at offset b is b plus an own-job
@@ -60,7 +61,18 @@ With `verdict_only`, the passes end after the first one in which every
 task is certified.  Every later pass would end certified too, so the
 verdict is the full run's.  The bounds are sound, each found against
 peer bounds no lower than the final ones, but can be looser than the
-full run's, and `iterations` counts the passes run.
+full run's, and `iterations` counts the passes run: verdict, bounds and
+pass count are those of the full run cut at that many passes.  A
+reach-back stage a >= 1 stops early too.  A task's bound is its largest
+stage minimum, and every earlier stage minimum is above the period, so
+once stage a holds a total no greater than M, the largest of them, the
+stage cannot move the bound: only a total within the period, which
+makes it the reach stage, still matters.  The scan looks on for such a
+total only, and not at all when a floor on stage a alone is above the
+period.  M belongs to a stage that was scanned exactly, so the bound is
+the full run's, and a value kept this way is a real total, never below
+the stage's minimum, so the warm start still holds.  Such a stage's
+offset is a certifying position, not the first least one.
 """
 
 from __future__ import annotations
@@ -127,7 +139,9 @@ class AnalysisResult:
     bounds in task order (reset to the deadline where refinement gave
     up).  offsets: per-task winning window position - the offset b for
     fixed-window runs, an (a, (x_0..x_a)) pair for extended-window runs,
-    None where no position was certified.  iterations: refinement passes
+    None where no position was certified; each is a stage's first least
+    position, except that a verdict-only run's reach-back stages may end
+    on any position certifying the bound.  iterations: refinement passes
     executed.
     """
 
@@ -256,6 +270,11 @@ def _window_core(
                 # last[a] and is found from just above it.
                 best = last[a] + 1 if a < len(last) else Dk + 1
                 best_b = 0
+                # a verdict-only stage whose minimum is at most the earlier
+                # stages' largest cannot move the bound: once it holds such
+                # a total, only one within the period still matters
+                settle = max(stage_best) if verdict_only and a else None
+                kept = None
                 # grid offsets b = base + j * step, j = 0.. while b < D_k,
                 # scanned as ranges of j, depth first and left to right
                 # (a zero deadline has none at stage 0)
@@ -291,6 +310,16 @@ def _window_core(
                             if lo == hi:
                                 best = total
                                 best_b = b_hi
+                                if settle is not None and total <= settle:
+                                    # only a total within the period is
+                                    # still of use, if stage a can hold one
+                                    if total <= Tk:
+                                        break
+                                    floor = _reach_floor(Dk, Tk, csk, terms, lcm, a, a)
+                                    if floor is None or floor > Tk * lcm:
+                                        break
+                                    kept = total, b_hi
+                                    best = Tk + 1
                             else:
                                 # its first offset alone first, then halves
                                 mid = (lo + 1 + hi) // 2
@@ -298,6 +327,9 @@ def _window_core(
                                     stack.append((mid + 1, hi))
                                 stack.append((lo + 1, mid))
                                 stack.append((lo, lo))
+                if kept and best > Tk:
+                    # none within the period: the kept total stands
+                    best, best_b = kept
                 if best > Dk:
                     break
                 stage_best.append(best)
@@ -369,7 +401,9 @@ def test_variable(
     deadlines exceed periods.  On task sets whose deadlines never exceed
     their periods it returns exactly the fixed-window result.
     verdict_only stops at the first pass that certifies every task, as
-    for test_fixed.
+    for test_fixed, and ends each reach-back stage once it can no longer
+    move the bound: its offsets are then certifying positions, not
+    necessarily the first least ones.
     """
     return _analyze(ts, rel_points, config, reach_back=True, verdict_only=verdict_only)
 
@@ -412,9 +446,11 @@ def run_test(
 ) -> AnalysisResult:
     """Run the test `name` from TESTS: the fixed- or variable-window test,
     or the suspension-oblivious baseline.  With verdict_only, the result
-    holds the full run's verdict, but its bounds and offsets are those of
-    the first pass that certified every task (sound, possibly looser) and
-    its iterations count the passes run."""
+    holds the full run's verdict, but its bounds are those of the first
+    pass that certified every task (sound, possibly looser), its
+    iterations count the passes run, and its offsets are certifying
+    positions, for reach-back stages not necessarily the first least
+    ones."""
     # the tests are looked up by module-level name at each call, so a
     # wrapper installed over one of them sees the calls made through here
     if name == "fixed":

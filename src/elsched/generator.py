@@ -154,6 +154,9 @@ def synthesize_counting(spec: GenSpec) -> tuple[TaskSet, int]:
     # written out here: the same draws and the same floats, without a call
     span_ln = math.log(spec.period_range[1] * TICKS_PER_MS) - lo_ln
     draw = rng.random
+    # rng.randint(lo, hi) is lo + rng._randbelow(hi - lo + 1) once randrange
+    # has checked its arguments: the same draw, without those calls
+    below = rng._randbelow
     x = spec.deadline_factor
     slo, shi = spec.suspension_factor_range
     xp, xq = x.numerator, x.denominator
@@ -166,7 +169,8 @@ def synthesize_counting(spec: GenSpec) -> tuple[TaskSet, int]:
         deadline = _round_ratio(xp * period, xq)
         slack = period - wcet
         if slack > 0:
-            susp = rng.randint(_round_ratio(lp * slack, lq), _round_ratio(hp * slack, hq))
+            s_lo = _round_ratio(lp * slack, lq)
+            susp = s_lo + below(_round_ratio(hp * slack, hq) - s_lo + 1)
         else:
             susp = 0
         tasks.append(Task(wcet, susp, deadline, period))

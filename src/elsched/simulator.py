@@ -845,12 +845,14 @@ def export_trace(trace: ScheduleTrace) -> str:
     lines = [TRACE_HEADER, f"# horizon {trace.horizon}"]
     label = []   # of each g, then of _WAIT (-2) and _SUSP (-1)
     for g, (job, finish) in enumerate(zip(trace._job_tuples, trace._finish)):
-        task, index = job[0], job[1]
+        ti = f"{job[0]} {job[1]}"
         f = "-" if finish is None else finish
-        lines.append(f"# job {task} {index} {job[2]} {first.get(g, '-')} {f}")
-        label.append(f"run {task} {index}")
+        lines.append(f"# job {ti} {job[2]} {first.get(g, '-')} {f}")
+        label.append("run " + ti)
     label += ("wait -1 -1", "susp -1 -1")
-    lines.extend(f"{s} {e} {label[w]}" for s, e, w in zip(starts, trace._seg_end(), who))
+    # each start is formatted once, as its segment's start and the previous end
+    ss = [*map(str, starts), str(trace.horizon)]
+    lines.extend(map(" ".join, zip(ss, ss[1:], map(label.__getitem__, who))))
     return "\n".join(lines) + "\n"
 
 

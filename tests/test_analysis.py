@@ -670,9 +670,18 @@ def test_verdict_only_keeps_verdict_and_sound_bounds():
                          max_a=draw(st.integers(0, 10)))
         return ts, policy, test, cfg
 
-    seen = {"stopped early": 0, "looser": 0}
+    seen = {"stopped early": 0, "looser": 0, "moved": 0}
 
     @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    # D = 2T and D = 3T sets whose verdict-only reach-back stages end on a
+    # certifying position other than the full run's, and one whose stage
+    # minima rise past the earlier stages' largest, where no stage may stop
+    @hypothesis.example((TaskSet((Task(0, 3, 52, 26), Task(13, 0, 40, 20))), PriorityPolicy.edf(),
+                         "variable", IterConfig(eta=Fraction(1, 10), depth=1, max_a=8)))
+    @hypothesis.example((TaskSet((Task(3, 1, 48, 16), Task(2, 1, 21, 7))), PriorityPolicy.edf(),
+                         "variable", IterConfig(eta=Fraction(1, 100), depth=1, max_a=3)))
+    @hypothesis.example((TaskSet((Task(5, 5, 54, 18), Task(7, 4, 60, 20))), PriorityPolicy.edf(),
+                         "variable", IterConfig(eta=Fraction(1, 10), depth=1, max_a=9)))
     @hypothesis.given(cases())
     def check(case):
         ts, policy, test, cfg = case
@@ -691,8 +700,17 @@ def test_verdict_only_keeps_verdict_and_sound_bounds():
             assert fast == full
             return
         assert all(r <= t.deadline for r, t in zip(fast.bounds, ts))
+        # its passes are the full run's first ones: cut at that depth, the
+        # full run ends on the same verdict, bounds and pass count
+        cut = IterConfig(eta=cfg.eta, depth=fast.iterations, max_a=cfg.max_a)
+        short = tfp_test(ts, cut) if test == "tfp" else run_test(test, ts, pts, cut)
+        assert (short.verdict, short.bounds, short.iterations) == (
+            fast.verdict, fast.bounds, fast.iterations)
         seen["stopped early"] += fast.iterations < full.iterations
         seen["looser"] += fast.bounds != full.bounds
+        # a reach-back stage that cannot raise the bound ends on a
+        # certifying position, not necessarily the first least one
+        seen["moved"] += fast.bounds == full.bounds and fast.offsets != full.offsets
         # the oracles read wcet, suspension, deadline and period only
         oracle_ts = ts if test != "baseline" else [
             SimpleNamespace(wcet=t.wcet + t.suspension, suspension=0,
@@ -703,8 +721,9 @@ def test_verdict_only_keeps_verdict_and_sound_bounds():
                 assert values[-1] <= ts[k].period
 
     check()
-    # the early exit was taken, and its bounds differed from the full run's
-    assert seen["stopped early"] > 0 and seen["looser"] > 0, seen
+    # the early exit was taken, its bounds differed from the full run's, and
+    # some stage stopped early on another position under the same bounds
+    assert all(seen.values()), seen
 
 
 # --- emulated fixed priority and the suspension-oblivious baseline -------------------
@@ -785,8 +804,14 @@ def test_result_csv_round_trip():
 # a verdict, bound, offset or pass count moves it.
 KERNEL_DIGEST = "6b3090eb48c325a0"
 
+# The same digest over repr((verdict, bounds, iterations)) of the
+# verdict-only runs of that corpus.  Their offsets are left out: a
+# verdict-only reach-back stage may end on any position that certifies
+# it.  Recorded before such stages stopped early.
+VERDICT_ONLY_DIGEST = "8263d1f37b9e4d5c"
 
-def _kernel_digest_results():
+
+def _kernel_digest_results(verdict_only=False):
     rng = random.Random(5_318_008)
     configs = (IterConfig(), IterConfig(eta=Fraction(1, 7), depth=1, max_a=0))
     for x in (Fraction(1), Fraction(3, 2), Fraction(3)):
@@ -806,12 +831,11 @@ def _kernel_digest_results():
                     PriorityPolicy.explicit([rng.randint(0, 2 * t.deadline) for t in ts]),
                 )
                 for cfg in configs:
-                    yield tfp_test(ts, cfg)
+                    yield tfp_test(ts, cfg, verdict_only=verdict_only)
                     for pol in policies:
                         pts = derive_priority_points(ts, pol)
-                        yield fixed_test(ts, pts, cfg)
-                        yield variable_test(ts, pts, cfg)
-                        yield baseline_susp_obl(ts, pts, cfg)
+                        for test in TESTS:
+                            yield run_test(test, ts, pts, cfg, verdict_only=verdict_only)
 
 
 def test_window_kernel_results_are_pinned():
@@ -819,3 +843,10 @@ def test_window_kernel_results_are_pinned():
     for res in _kernel_digest_results():
         h.update(repr(res).encode())
     assert h.hexdigest()[:16] == KERNEL_DIGEST
+
+
+def test_verdict_only_results_are_pinned():
+    h = hashlib.sha256()
+    for res in _kernel_digest_results(verdict_only=True):
+        h.update(repr((res.verdict, res.bounds, res.iterations)).encode())
+    assert h.hexdigest()[:16] == VERDICT_ONLY_DIGEST
